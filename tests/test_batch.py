@@ -1,11 +1,18 @@
 """Batch-native dataplane: PacketBatch semantics, scalar/batch
-equivalence across every preset pipeline, and drop accounting.
+equivalence across every preset pipeline, drop accounting, and the
+timed forwarding loop against its scalar-loop goldens.
 
 The equivalence tests are the contract the fast path lives under:
-``batch=True`` may only change wall-clock time.  Every forwarded/dropped
+batching may only change wall-clock time.  Every forwarded/dropped
 count, per-element counter, and compiled load vector must be *equal*
 (integers) or byte-identical (floats follow the same operation chains).
+``TimedPipelineRun`` still keeps its scalar loop as the in-process
+reference; ``TimedForwardingRun`` has only the batch loop, so it is held
+to goldens recorded from the scalar loop it replaced.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +31,7 @@ from repro.costs import compile_loads
 from repro.hw import nehalem_server
 from repro.net import Packet
 from repro.net.batch import NO_PAINT, PacketBatch
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.metrics import MetricsRegistry, _label_str, use_registry
 
 PACKET_BYTES = 64
 
@@ -149,7 +156,7 @@ class TestDropAccounting:
         assert feed(batched=True)[1] == 3
 
 
-# -- scheduler batch rounds --------------------------------------------------
+# -- scheduler rounds --------------------------------------------------------
 
 class TestSchedulerBatchRounds:
     def _forwarding(self):
@@ -164,25 +171,64 @@ class TestSchedulerBatchRounds:
         return server, scheduler, poll, to_dev
 
     def test_batch_round_matches_scalar(self):
-        results = {}
-        for batch in (False, True):
-            server, scheduler, poll, to_dev = self._forwarding()
-            for _ in range(10):
-                server.port(0).rx_queues[0].push(_udp())
-            moved = scheduler.run_rounds(2, batch=batch)
-            results[batch] = (moved, poll.packets_in, poll.bytes_in,
-                              poll.empty_polls, len(to_dev.drain()),
-                              server.cores[0].cycles_used)
-        assert results[False] == results[True]
-        assert results[True][0] == 10
+        """Rounds are batch-native; the counts and cycle charge are the
+        ones the per-packet scalar round produced on the same input."""
+        server, scheduler, poll, to_dev = self._forwarding()
+        for _ in range(10):
+            server.port(0).rx_queues[0].push(_udp())
+        moved = scheduler.run_rounds(2)
+        assert (moved, poll.packets_in, poll.bytes_in, poll.empty_polls,
+                len(to_dev.drain())) == (10, 10, 640, 1, 10)
+        assert server.cores[0].cycles_used == 11735.5
+
+
+# -- state extraction shared by the equivalence and golden tests -------------
+
+def _jsonable(value):
+    """The JSON round trip the goldens went through (tuples become lists;
+    floats survive bit for bit)."""
+    return json.loads(json.dumps(value))
+
+
+def _report_row(report):
+    return [report.offered_packets, report.forwarded_packets,
+            report.dropped_packets, report.empty_polls, report.total_polls,
+            report.residual_backlog, report.achieved_bps]
+
+
+def _registry_state(registry, trace_ids=True):
+    """Everything ``registry`` recorded except ``engine_wall_seconds`` (the
+    one wall-clock number).  Packet ids come from a process-global
+    counter, so ``trace_ids`` rebases them to the first trace's id."""
+    metrics = {}
+    for name, metric in sorted(registry._metrics.items()):
+        if name == "engine_wall_seconds":
+            continue
+        if metric.kind == "timeline":
+            metrics[name] = {_label_str(key): sorted(series.bins.items())
+                             for key, series in sorted(metric._series.items())}
+        else:
+            metrics[name] = metric.series()
+    tracer = registry.tracer
+    base = tracer.traces[0].packet_id if tracer.traces else 0
+    traces = [[[hop.site, hop.time, hop.note] for hop in trace.hops]
+              for trace in tracer.traces]
+    if trace_ids:
+        traces = [[trace.packet_id - base] + hops
+                  for trace, hops in zip(tracer.traces, traces)]
+    profile = (registry.profiler.to_dict(max_rows=10 ** 6)
+               if registry.profiler is not None else None)
+    return _jsonable({"metrics": metrics,
+                      "tracer": [tracer.seen, tracer.sampled],
+                      "traces": traces, "profile": profile})
 
 
 # -- scalar/batch equivalence over every preset pipeline ---------------------
 
-def _pipeline_state(preset, batch):
+def _pipeline_state(preset, batch, metrics=None):
     server = nehalem_server(num_ports=1, queues_per_port=2)
     run = TimedPipelineRun(server, preset, packet_bytes=PACKET_BYTES,
-                           kp=8, kn=4, batch=batch)
+                           kp=8, kn=4, batch=batch, metrics=metrics)
     report = run.run(4e9, duration_sec=1e-3, seed=1)
     counters = {}
     for index, replica in enumerate(run.replicas):
@@ -208,38 +254,82 @@ def test_preset_pipeline_scalar_batch_equivalence(preset):
     assert scalar[0][1] > 0          # and the run actually forwarded
 
 
-# -- forwarding-loop bit-identity (the obs fast path) ------------------------
+@pytest.mark.parametrize("preset", sorted(PRESET_PIPELINES))
+def test_preset_pipeline_equivalence_under_observability(preset):
+    """The same comparison under the registry ``obs explain`` uses:
+    metrics, profile and traces must match too."""
+    states = []
+    for batch in (False, True):
+        registry = MetricsRegistry(enabled=True, profile=True,
+                                   trace_sample_every=16)
+        states.append((_pipeline_state(preset, batch, metrics=registry),
+                       _registry_state(registry)))
+    (scalar, scalar_obs), (batched, batched_obs) = states
+    assert scalar == batched
+    assert scalar_obs == batched_obs
+    assert scalar_obs["traces"]      # the sampler actually fired
 
-def _forwarding_state(batch):
+
+# -- the forwarding loop against the scalar loop's goldens -------------------
+
+#: Recorded from the event-per-arrival scalar ``TimedForwardingRun`` loop
+#: before it was retired, with the state helpers in this module; see
+#: ``tests/golden/README.md``.
+GOLDEN = json.loads((Path(__file__).parent / "golden"
+                     / "timed_forwarding_scalar.json").read_text())
+
+
+def _forwarding_state():
+    """The observed run: registry on, default 1-in-64 trace sampling.
+
+    Trace hops are compared without packet ids: the scalar loop built
+    one packet (one id) per arrival, the batch loop materializes only
+    the sampled ones.  Each trace's arrival hop pins its position.
+    """
     registry = MetricsRegistry(enabled=True)
     server = nehalem_server()
     run = TimedForwardingRun(server, packet_bytes=PACKET_BYTES,
-                             kp=32, kn=16, batch=batch, metrics=registry)
+                             kp=32, kn=16, metrics=registry)
     report = run.run(5e9, duration_sec=1e-3, seed=3)
-    snapshot = {}
-    for name, metric in sorted(registry._metrics.items()):
-        if name == "engine_wall_seconds":
-            continue  # the only number allowed to differ
-        if hasattr(metric, "series"):
-            snapshot[name] = metric.series()
-        else:  # Timeline
-            snapshot[name] = {key: series.bins
-                              for key, series in metric._series.items()}
-    tracer = registry.tracer
-    hops = [[(hop.site, hop.time, hop.note) for hop in trace.hops]
-            for trace in tracer.traces]
-    return ((report.offered_packets, report.forwarded_packets,
-             report.dropped_packets, report.empty_polls, report.total_polls,
-             report.residual_backlog, report.achieved_bps),
-            snapshot, (tracer.seen, tracer.sampled), hops,
-            [core.cycles_used for core in server.cores])
+    return _jsonable({"report": _report_row(report),
+                      "registry": _registry_state(registry,
+                                                  trace_ids=False),
+                      "cycles": [core.cycles_used for core in server.cores]})
+
+
+def _grid_state():
+    """Sizes x (kp, kn) x offered rates, no registry: below, at and far
+    above saturation, so empty polls, backlog and ring drops all occur."""
+    rows = []
+    for packet_bytes in (64, 128, 512, 1024):
+        for kp, kn in ((1, 1), (32, 1), (32, 16)):
+            for gbps in (1, 5, 12, 30):
+                server = nehalem_server()
+                run = TimedForwardingRun(server, packet_bytes=packet_bytes,
+                                         kp=kp, kn=kn)
+                report = run.run(gbps * 1e9, duration_sec=2e-4)
+                rows.append({"config": [packet_bytes, kp, kn, gbps],
+                             "report": _report_row(report),
+                             "cycles": [core.cycles_used
+                                        for core in server.cores]})
+    return _jsonable(rows)
 
 
 def test_forwarding_run_bit_identical_under_observability():
-    scalar = _forwarding_state(batch=False)
-    batched = _forwarding_state(batch=True)
-    assert scalar == batched
-    assert scalar[0][1] > 0
+    state = _forwarding_state()
+    golden = GOLDEN["observed"]
+    assert state["report"] == golden["report"]
+    assert state["cycles"] == golden["cycles"]
+    assert state["registry"] == golden["registry"]
+    assert state["report"][1] > 0
+
+
+def test_forwarding_grid_matches_scalar_golden():
+    rows = _grid_state()
+    assert len(rows) == len(GOLDEN["grid"]) == 48
+    for row, golden in zip(rows, GOLDEN["grid"]):
+        assert row == golden, row["config"]
+    assert any(row["report"][2] for row in rows)   # some ring drops
 
 
 def test_batch_paint_column_equals_scalar_annotation():
