@@ -15,7 +15,7 @@ from typing import Dict, Iterable, Tuple
 from ..errors import ConfigurationError
 from ..net.flows import FiveTuple
 from ..net.packet import Packet
-from ..simnet.stats import Histogram
+from ..obs.metrics import Reservoir
 
 
 @dataclass
@@ -25,8 +25,9 @@ class TraceReport:
     packets: int = 0
     total_bytes: int = 0
     duration_sec: float = 0.0
-    sizes: Histogram = field(default_factory=Histogram)
-    gaps: Histogram = field(default_factory=Histogram)
+    #: Packets per distinct size in bytes.
+    size_counts: Dict[int, int] = field(default_factory=dict)
+    gaps: Reservoir = field(default_factory=Reservoir)
     flows: Dict[FiveTuple, int] = field(default_factory=dict)
 
     @property
@@ -61,11 +62,8 @@ class TraceReport:
 
     def size_shares(self) -> Dict[int, float]:
         """Fraction of packets per distinct size (for small mixtures)."""
-        counts: Dict[int, int] = {}
-        for value in self.sizes._values:
-            counts[int(value)] = counts.get(int(value), 0) + 1
         return {size: count / self.packets
-                for size, count in sorted(counts.items())}
+                for size, count in sorted(self.size_counts.items())}
 
 
 def characterize(timed_packets: Iterable[Tuple[float, Packet]]) -> TraceReport:
@@ -75,7 +73,8 @@ def characterize(timed_packets: Iterable[Tuple[float, Packet]]) -> TraceReport:
     for time, packet in timed_packets:
         report.packets += 1
         report.total_bytes += packet.length
-        report.sizes.observe(packet.length)
+        report.size_counts[packet.length] = \
+            report.size_counts.get(packet.length, 0) + 1
         if last_time is not None:
             if time < last_time:
                 raise ConfigurationError("timestamps must be non-decreasing")

@@ -149,21 +149,18 @@ class TimedForwardingRun:
     spread round-robin across queues, matching the paper's uniform
     any-to-any pattern.  ``kp``/``kn`` control batching as in Table 1.
 
-    ``batch=True`` selects the batch fast-path: the whole run's arrival
-    events are bulk-filed into the engine's event wheel up front, RX
-    rings carry arrival indices instead of packet objects (materialized
-    only for trace-sampled slots), and per-poll bookkeeping is kept in
-    locals flushed once at the end.  Every simulated quantity -- event
-    times and counts, forwarded/dropped totals, rates, and the profiler's
-    per-element attribution -- is identical to scalar mode; only wall
-    clock differs.
+    The run is poll-driven the way Click is: every poll pops a burst of
+    up to ``kp`` packets and charges the core for it.  Nothing in
+    minimal forwarding inspects a packet, so RX rings carry token counts
+    (:meth:`~repro.hw.nic.NicQueue.push_token`) and a real
+    :class:`~repro.net.packet.Packet` is built only for a trace-sampled
+    arrival.
     """
 
     def __init__(self, server: Server, packet_bytes: int = 64,
                  kp: int = cal.DEFAULT_KP, kn: int = cal.DEFAULT_KN,
                  app: cal.AppCost = cal.MINIMAL_FORWARDING,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
-                 batch: bool = False,
                  metrics=None):
         if not server.ports:
             raise ConfigurationError("server has no ports attached")
@@ -175,7 +172,6 @@ class TimedForwardingRun:
         self.kn = kn
         self.app = app
         self.cost_model = cost_model
-        self.batch = batch
         self.metrics = metrics
         self.cycles_per_packet = (
             cost_model.app_vector(app, packet_bytes).cpu_cycles
@@ -193,164 +189,29 @@ class TimedForwardingRun:
 
     def run(self, offered_bps: float, duration_sec: float = 5e-3,
             seed: int = 0) -> TimedRunReport:
-        """Offer fixed-size packets at ``offered_bps`` for ``duration_sec``."""
+        """Offer fixed-size packets at ``offered_bps`` for ``duration_sec``.
+
+        The simulated timeline:
+
+        * the first arrival is at 0 and arrival ``k`` at ``t[k] =
+          t[k-1] + interarrival`` -- a chained sum, never ``k *
+          interarrival`` -- and arrivals go round-robin over the RX
+          queues;
+        * one final no-op arrival event follows the last packet;
+        * all arrivals are filed into the event wheel before the polls,
+          so at equal times an arrival runs before a poll;
+        * a poll that pops ``n`` packets charges ``n`` times the
+          per-packet cycles (an empty poll charges ``ce``) and files the
+          core's next poll that many cycles later.
+
+        The measured loop only pops bursts and appends one tuple per poll
+        to a log.  Once the engine returns, the log is replayed in event
+        order through the core ledgers and, when a registry is on, the
+        counters, timelines, profiler and traces -- one call per poll,
+        in poll order, so every derived number is deterministic.
+        """
         if offered_bps <= 0 or duration_sec <= 0:
             raise ConfigurationError("offered load and duration must be > 0")
-        if self.batch:
-            return self._run_batch(offered_bps, duration_sec, seed)
-        obs = _RunObs.resolve(self.metrics)
-        sim = Simulator(metrics=self.metrics)
-        workload = FixedSizeWorkload(packet_bytes=self.packet_bytes,
-                                     num_flows=len(self._assignments) * 8,
-                                     seed=seed)
-        interarrival = self.packet_bytes * 8 / offered_bps
-        offered = int(duration_sec / interarrival)
-        packets = workload.packets(offered)
-
-        state = {"forwarded": 0, "empty_polls": 0, "polls": 0}
-        queues = [queue for _, queue in self._assignments]
-        drops_before = sum(queue.dropped for queue in queues)
-        # Clear any residue from a previous run on the same server.
-        for queue in queues:
-            queue.clear()
-        # Every packet of this run carries the same app vector, so bus
-        # bytes are chargeable per batch without walking elements.
-        per_packet_vec = (self.cost_model.app_vector(self.app,
-                                                     self.packet_bytes)
-                          if obs is not None else None)
-
-        def arrival(index=[0]):
-            try:
-                packet = next(packets)
-            except StopIteration:
-                return
-            queue = queues[index[0] % len(queues)]
-            index[0] += 1
-            if obs is not None:
-                trace = obs.tracer.maybe_start(packet, sim.now, "arrival")
-                if not queue.push(packet) and trace is not None:
-                    trace.hop("dropped", sim.now)
-            else:
-                queue.push(packet)
-            schedule_timer(interarrival, arrival)
-
-        clock_hz = self.server.spec.clock_hz
-        # Poll loops and arrivals are homogeneous high-rate timers: ride
-        # the engine's bucketed event wheel instead of the main heap.
-        schedule_timer = sim.schedule_timer
-
-        def make_poll_loop(core, queue, queue_label):
-            seen_drops = [queue.dropped]
-            poll_times: List[float] = []  # obs-only: poll-wait split
-            core_frame = "core%d" % core.core_id
-            app_frame = getattr(self.app, "name", "app")
-            # Hoist every per-poll attribute lookup out of the loop.
-            kp = self.kp
-            cycles_per_packet = self.cycles_per_packet
-            empty_poll_cycles = self.cost_model.empty_poll_cycles
-            pop_batch = queue.pop_batch
-            charge = core.charge
-            if obs is not None:
-                prof = obs.profiler
-                charge_app = (prof.bind(core_frame, app_frame)
-                              if prof is not None else None)
-                charge_empty = (prof.bind(core_frame, "empty_poll")
-                                if prof is not None else None)
-                (inc_busy_cycles, inc_empty_cycles,
-                 inc_busy_polls, inc_empty_polls) = \
-                    obs.core_handles(core.core_id)
-                record_occupancy = obs.rxq_occupancy.bind(queue=queue_label)
-                record_drops = obs.rxq_drops.bind(queue=queue_label)
-
-            def poll():
-                now = sim.now
-                if now >= duration_sec:
-                    return
-                state["polls"] += 1
-                if obs is not None:
-                    poll_times.append(now)
-                batch = pop_batch(kp)
-                if batch:
-                    cycles = len(batch) * cycles_per_packet
-                    state["forwarded"] += len(batch)
-                else:
-                    state["empty_polls"] += 1
-                    cycles = empty_poll_cycles
-                charge(cycles)
-                if obs is not None:
-                    if batch:
-                        if charge_app is not None:
-                            charge_app(cycles)
-                        inc_busy_cycles(cycles)
-                        inc_busy_polls()
-                    else:
-                        if charge_empty is not None:
-                            charge_empty(cycles)
-                        inc_empty_cycles(cycles)
-                        inc_empty_polls()
-                    record_occupancy(now, len(queue))
-                    if queue.dropped > seen_drops[0]:
-                        record_drops(now, queue.dropped - seen_drops[0])
-                        seen_drops[0] = queue.dropped
-                    if batch:
-                        n = len(batch)
-                        obs.charge_bus(n * per_packet_vec.mem_bytes,
-                                       n * per_packet_vec.io_bytes,
-                                       n * per_packet_vec.pcie_bytes,
-                                       n * per_packet_vec.qpi_bytes)
-                        t_done = now + cycles / clock_hz
-                        for packet in batch:
-                            trace = packet.annotations.get(TRACE_ANNOTATION)
-                            if trace is not None:
-                                trace.hop("poll", first_poll_after(
-                                    poll_times, trace.started, now))
-                                trace.hop("pickup", now)
-                                trace.hop("core%d" % core.core_id, now,
-                                          note="forwarded")
-                                trace.hop("service_done", t_done)
-                schedule_timer(cycles / clock_hz, poll)
-            return poll
-
-        sim.schedule(0.0, arrival)
-        for index, (core, queue) in enumerate(self._assignments):
-            sim.schedule(0.0, make_poll_loop(core, queue, str(index)))
-        sim.run(until=duration_sec)
-
-        dropped = sum(queue.dropped for queue in queues) - drops_before
-        return TimedRunReport(
-            offered_packets=offered,
-            forwarded_packets=state["forwarded"],
-            dropped_packets=dropped,
-            duration_sec=duration_sec,
-            packet_bytes=self.packet_bytes,
-            empty_polls=state["empty_polls"],
-            total_polls=state["polls"],
-            residual_backlog=sum(len(queue) for queue in queues),
-        )
-
-    def _run_batch(self, offered_bps: float, duration_sec: float,
-                   seed: int) -> TimedRunReport:
-        """The batch fast-path behind :meth:`run` (``batch=True``).
-
-        Event-for-event equivalent to scalar mode: arrival times are the
-        same chained ``t += interarrival`` floats (bulk-filed into the
-        event wheel before the measured window), poll cadence and cycle
-        charges are untouched, and the trace sampler advances over the
-        same arrival positions.  The savings are all constant-factor
-        Python overhead, removed from the measured loop two ways:
-
-        * **Count-only descriptors.**  Nothing downstream of minimal
-          forwarding inspects a packet, so rings carry token counts
-          (:meth:`~repro.hw.nic.NicQueue.push_token`) and arrivals
-          materialize a real Packet only for trace-sampled slots.
-        * **Deferred, order-exact bookkeeping.**  Each poll appends one
-          tuple to a run-wide log; after :meth:`Simulator.run` returns,
-          the log is replayed in event order through the same counter,
-          timeline, profiler, and trace calls the scalar loop makes per
-          poll.  Same calls, same order, same float chains -- every
-          derived number is bit-identical, but none of it is paid inside
-          the measured event loop.
-        """
         obs = _RunObs.resolve(self.metrics)
         sim = Simulator(metrics=self.metrics)
         interarrival = self.packet_bytes * 8 / offered_bps
@@ -366,10 +227,8 @@ class TimedForwardingRun:
                                                      self.packet_bytes)
                           if obs is not None else None)
 
-        # Arrival times, chained exactly like the scalar path's repeated
-        # schedule_timer(interarrival, ...) -- t[k] = t[k-1] + dt, never
-        # k * dt.  The extra final event mirrors the scalar generator's
-        # StopIteration no-op.
+        # Arrival times, chained: t[k] = t[k-1] + dt, never k * dt.  The
+        # extra final slot is the no-op arrival after the last packet.
         times = [0.0] * (offered + 1)
         t = 0.0
         for k in range(1, offered + 1):
@@ -379,8 +238,8 @@ class TimedForwardingRun:
         push_tokens = [queue.push_token for queue in queues]
         pending = [deque() for _ in range(n_queues)]
         if obs is not None:
-            # Same workload state evolution as scalar mode; rows
-            # materialize into real packets only for trace-sampled
+            # One workload row per arrival (the seeded flow sequence);
+            # rows materialize into real packets only for trace-sampled
             # arrivals.
             workload = FixedSizeWorkload(
                 packet_bytes=self.packet_bytes,
@@ -395,7 +254,7 @@ class TimedForwardingRun:
 
             def sample_arrival(i, qi, pushed):
                 # Rare path (1-in-sample_every): materialize the packet
-                # and start its trace, as scalar maybe_start() would.
+                # and start its trace, as TraceSampler.maybe_start would.
                 trace = tracer.start_trace(packet_at(i), sim.now, "arrival")
                 if pushed:
                     position = queues[qi].enqueued - base_enqueued[qi] - 1
@@ -419,23 +278,20 @@ class TimedForwardingRun:
                 next(push_cycle)()
 
         def final_arrival():
-            # The scalar generator's StopIteration no-op: one extra
-            # arrival event that does nothing but advance the clock.
+            # One extra arrival event that does nothing but advance the
+            # clock past the last packet.
             pass
 
         # Bulk-file all arrivals first so they take sequence numbers
-        # 0..offered -- the same tie-break order vs the t=0 poll events
-        # that the scalar path's schedule(0.0, arrival) call produces.
-        # Splitting off the final event lets the hot closure skip the
-        # bounds check the scalar path pays per arrival.
+        # 0..offered and win every tie against a poll.  Splitting off the
+        # final event keeps the hot closure free of a bounds check.
         if offered:
             sim.preschedule_timers(times[:offered], arrival)
         sim.preschedule_timers(times[offered:], final_arrival)
 
         clock_hz = self.server.spec.clock_hz
         # Every poll charges one of kp+1 possible cycle values; index 0
-        # is the empty poll.  Same multiplications/divisions the scalar
-        # loop performs, just done once.
+        # is the empty poll.  Computed once, not per poll.
         cycles_for = [self.cost_model.empty_poll_cycles] + [
             n * self.cycles_per_packet for n in range(1, self.kp + 1)]
         delay_for = [cycles / clock_hz for cycles in cycles_for]
@@ -574,9 +430,9 @@ def _element_cycles(element: Element, d_packets: int,
                     d_bytes: float) -> float:
     """CPU cycles for ``d_packets``/``d_bytes`` of new work on an element.
 
-    Exact for affine costs -- which also makes batch and scalar modes
-    charge identically: the deltas are integer packet/byte counts either
-    way.
+    Exact for affine costs -- which also makes the batch and per-packet
+    paths charge identically: the deltas are integer packet/byte counts
+    either way.
     """
     if d_packets <= 0:
         return 0.0
@@ -622,12 +478,12 @@ class TimedPipelineRun:
     charges the core the element-wise resource cost of the packets that
     actually moved.
 
-    ``batch=True`` drives each replica through
+    Each replica is driven through
     :meth:`~repro.click.elements.device.PollDevice.run_task_batch`, so a
     poll burst traverses batch-native graph segments as one
-    :class:`~repro.net.batch.PacketBatch`.  Charging is unchanged -- it
-    reads the same integer packets_in/bytes_in deltas either way -- so
-    cycles, loads, and counters are identical between the modes.
+    :class:`~repro.net.batch.PacketBatch`.  Charging reads the integer
+    packets_in/bytes_in deltas, so ``batch=False`` (the per-packet
+    ``run_task`` path) charges identical cycles, loads and counters.
     """
 
     def __init__(self, server: Server, config_text: str,
@@ -636,8 +492,11 @@ class TimedPipelineRun:
                  table=None, esp_context=None,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
                  replicas: Optional[int] = None,
-                 batch: bool = False,
+                 batch: bool = True,
                  metrics=None):
+        # ``batch`` remains only as the per-packet reference that
+        # tests/test_batch.py compares against, and because
+        # perfbench/workloads.py passes it.
         from .pipelines import build_pipeline
         if not server.ports:
             raise ConfigurationError("server has no ports attached")

@@ -310,8 +310,7 @@ def merge_fragments(fragments: List[PartitionFragment], *,
         report.delivered_bytes += frag.delivered_bytes
         report.direct_packets += frag.direct_packets
         report.indirect_packets += frag.indirect_packets
-        for value in frag.latency_usec:
-            report.latency_usec.observe(value)
+        report.latency_usec.extend(frag.latency_usec)
         reordered += frag.reordered_sequences
         reorder_packets += frag.reorder_packets
         report.dropped_packets += frag.dropped_packets

@@ -23,13 +23,13 @@ from ..errors import ConfigurationError
 from ..hw.presets import NEHALEM
 from ..hw.server import ServerSpec
 from ..net.packet import Packet
+from ..obs.metrics import Reservoir
 from ..obs.trace import TRACE_ANNOTATION
 from ..perfmodel.loads import DEFAULT_CONFIG, ServerConfig
 from ..results import RunResult
 from ..simnet.engine import Simulator
 from ..simnet.links import Link
 from ..simnet.rng import node_seeds
-from ..simnet.stats import Histogram
 from ..units import gbps, rate_pps_to_bps, to_usec
 from .node import ClusterNode
 from .reordering import ReorderingMeter
@@ -70,7 +70,7 @@ class SimulationReport(RunResult):
     delivered_packets: int = 0
     dropped_packets: int = 0
     reordered_fraction: float = 0.0
-    latency_usec: Histogram = field(default_factory=Histogram)
+    latency_usec: Reservoir = field(default_factory=Reservoir)
     direct_packets: int = 0
     indirect_packets: int = 0
     flowlet_switches: int = 0

@@ -4,7 +4,9 @@ Three layers:
 
 * :mod:`repro.obs.metrics` -- :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` / :class:`Timeline` behind a
-  :class:`MetricsRegistry`.  The DES hot paths (``simnet.engine``,
+  :class:`MetricsRegistry`; :class:`Reservoir` is the exact-quantile
+  store behind every histogram series and every report's latency
+  distribution.  The DES hot paths (``simnet.engine``,
   ``click.simrun``, the cluster nodes) charge the *active* registry,
   which is disabled by default; enable one to get per-core cycle
   attribution, per-queue occupancy/drop timelines, per-bus bytes, and
@@ -66,6 +68,7 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    Reservoir,
     Timeline,
     active_registry,
     set_active_registry,
@@ -103,6 +106,7 @@ __all__ = [
     "MetricsRegistry",
     "PathTrace",
     "QUICK_BENCHMARKS",
+    "Reservoir",
     "STAGES",
     "SpanProfiler",
     "Timeline",

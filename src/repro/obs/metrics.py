@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -138,8 +138,16 @@ class Gauge(Metric):
                 for k, v in sorted(self._series.items())}
 
 
-class _Reservoir:
-    """Value store behind one histogram series (exact quantiles)."""
+class Reservoir:
+    """A value reservoir with exact quantiles (sorted on demand).
+
+    It backs every histogram series and the DES reports' latency
+    distributions.  Every statistic reads the sorted values -- the mean
+    sums in sorted order -- so results depend only on the observed
+    multiset, not on insertion order: a partitioned run merges
+    observations in a different order than the single-heap engine and
+    must still report bit-identical numbers.
+    """
 
     __slots__ = ("values", "sorted")
 
@@ -147,39 +155,62 @@ class _Reservoir:
         self.values: List[float] = []
         self.sorted = True
 
+    def __len__(self) -> int:
+        return len(self.values)
+
     def observe(self, value: float) -> None:
         if self.values and value < self.values[-1]:
             self.sorted = False
         self.values.append(value)
 
-    def _ensure(self) -> None:
+    def extend(self, values: Iterable[float]) -> None:
+        """Fold a run of observations in (the merge step)."""
+        self.values.extend(values)
+        self.sorted = False
+
+    def _sorted_values(self) -> List[float]:
+        if not self.values:
+            raise ValueError("empty reservoir")
         if not self.sorted:
             self.values.sort()
             self.sorted = True
+        return self.values
 
-    def quantile(self, q: float) -> float:
-        if not self.values:
-            raise ValueError("empty histogram series")
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        self._ensure()
-        if q == 0.0:
-            return self.values[0]
-        rank = max(1, math.ceil(q * len(self.values)))
-        return self.values[rank - 1]
+    def percentile(self, p: float) -> float:
+        """Exact percentile (nearest-rank), p in [0, 100]."""
+        values = self._sorted_values()
+        if not 0 <= p <= 100:
+            raise ValueError("percentile must be in [0, 100]")
+        if p == 0:
+            return values[0]
+        return values[max(1, math.ceil(p / 100 * len(values))) - 1]
+
+    def mean(self) -> float:
+        values = self._sorted_values()
+        return sum(values) / len(values)
+
+    def min(self) -> float:
+        return self._sorted_values()[0]
+
+    def stddev(self) -> float:
+        """Sample standard deviation (0 below two observations)."""
+        if len(self.values) < 2:
+            return 0.0
+        mu = self.mean()
+        return math.sqrt(sum((v - mu) ** 2 for v in self.values)
+                         / (len(self.values) - 1))
 
     def summary(self) -> Dict[str, float]:
-        self._ensure()
-        n = len(self.values)
+        values = self._sorted_values()
         # float() strips numpy scalars so snapshots stay JSON-able.
         return {
-            "count": n,
-            "mean": float(sum(self.values) / n),
-            "min": float(self.values[0]),
-            "p50": float(self.quantile(0.50)),
-            "p90": float(self.quantile(0.90)),
-            "p99": float(self.quantile(0.99)),
-            "max": float(self.values[-1]),
+            "count": len(values),
+            "mean": float(self.mean()),
+            "min": float(values[0]),
+            "p50": float(self.percentile(50)),
+            "p90": float(self.percentile(90)),
+            "p99": float(self.percentile(99)),
+            "max": float(values[-1]),
         }
 
 
@@ -192,7 +223,7 @@ class Histogram(Metric):
         key = _label_key(labels)
         series = self._series.get(key)
         if series is None:
-            series = self._series[key] = _Reservoir()
+            series = self._series[key] = Reservoir()
         series.observe(value)
 
     def bind(self, **labels):
@@ -204,21 +235,22 @@ class Histogram(Metric):
         def observe(value: float) -> None:
             series = store.get(key)
             if series is None:
-                series = store[key] = _Reservoir()
+                series = store[key] = Reservoir()
             series.observe(value)
 
         return observe
 
     def count(self, **labels) -> int:
         series = self._series.get(_label_key(labels))
-        return len(series.values) if series is not None else 0
+        return len(series) if series is not None else 0
 
     def quantile(self, q: float, **labels) -> float:
+        """Exact quantile, q in [0, 1] (``percentile(100 * q)``)."""
         series = self._series.get(_label_key(labels))
         if series is None:
             raise ValueError("no series %r for labels %r"
                              % (self.name, labels))
-        return series.quantile(q)
+        return series.percentile(100 * q)
 
     def summary(self, **labels) -> Dict[str, float]:
         series = self._series.get(_label_key(labels))
@@ -492,10 +524,8 @@ class MetricsRegistry:
                 for key, reservoir in theirs._series.items():
                     dest = mine._series.get(key)
                     if dest is None:
-                        dest = mine._series[key] = _Reservoir()
-                    if reservoir.values:
-                        dest.values.extend(reservoir.values)
-                        dest.sorted = False
+                        dest = mine._series[key] = Reservoir()
+                    dest.extend(reservoir.values)
         self.tracer.merge(other.tracer)
         if self.profiler is not None and other.profiler is not None:
             self.profiler.merge(other.profiler)

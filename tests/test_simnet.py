@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.net import Packet
-from repro.simnet import FiniteQueue, Histogram, Link, RngStreams, Simulator
-from repro.simnet.stats import Counter, TimeSeries
+from repro.obs.metrics import Reservoir
+from repro.simnet import FiniteQueue, Link, RngStreams, Simulator
 
 
 class TestSimulator:
@@ -300,53 +300,33 @@ class TestRng:
 
 
 class TestStats:
-    def test_counter(self):
-        c = Counter()
-        c.add("drops")
-        c.add("drops", 2)
-        assert c.get("drops") == 3
-        assert c.get("missing") == 0
-        with pytest.raises(ValueError):
-            c.add("drops", -1)
+    """The exact-quantile reservoir behind the DES reports' latencies."""
 
     def test_histogram_percentiles(self):
-        h = Histogram()
+        h = Reservoir()
         for v in range(1, 101):
             h.observe(v)
         assert h.percentile(50) == 50
         assert h.percentile(99) == 99
         assert h.min() == 1
-        assert h.max() == 100
+        assert h.percentile(100) == 100
         assert h.mean() == pytest.approx(50.5)
 
     def test_histogram_unsorted_input(self):
-        h = Histogram()
+        h = Reservoir()
         for v in (5, 1, 3, 2, 4):
             h.observe(v)
         assert h.percentile(100) == 5
-        assert h.cdf_at(3) == pytest.approx(0.6)
+        assert h.percentile(60) == 3
 
     def test_histogram_empty_raises(self):
         with pytest.raises(ValueError):
-            Histogram().mean()
+            Reservoir().mean()
         with pytest.raises(ValueError):
-            Histogram().percentile(50)
+            Reservoir().percentile(50)
 
     def test_histogram_bad_percentile(self):
-        h = Histogram()
+        h = Reservoir()
         h.observe(1)
         with pytest.raises(ValueError):
             h.percentile(101)
-
-    def test_time_series_rate(self):
-        ts = TimeSeries()
-        ts.record(0.5, 100)
-        ts.record(1.5, 200)
-        assert ts.rate_over(0, 2) == pytest.approx(150)
-        assert ts.total() == 300
-
-    def test_time_series_order_enforced(self):
-        ts = TimeSeries()
-        ts.record(1.0, 1)
-        with pytest.raises(ValueError):
-            ts.record(0.5, 1)

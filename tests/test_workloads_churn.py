@@ -1,11 +1,15 @@
-"""Tests for the routing-churn workload and FIB consistency under churn."""
+"""Tests for the BGP-style churn generator behind ``ChurnSchedule`` and
+FIB consistency under churn."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.control import ChurnSchedule, TimedUpdate
 from repro.errors import ConfigurationError
-from repro.routing import BinaryTrie, RoutingTable, generate_rib
-from repro.workloads.churn import ChurnGenerator, Update
+from repro.net import IPv4Address
+from repro.routing import BinaryTrie, Route, generate_rib
 
 
 @pytest.fixture
@@ -13,49 +17,70 @@ def table():
     return generate_rib(num_entries=300, num_ports=4, seed=1)
 
 
+def _churn(table, count, **kwargs):
+    """``count`` back-to-back updates against ``table``'s prefixes."""
+    installed = [prefix for prefix, _ in table.routes()]
+    return ChurnSchedule.bursts(installed, burst_updates=count,
+                                interval_sec=1.0, bursts=1, **kwargs)
+
+
+def _apply(table, schedule):
+    """Apply a schedule's updates to ``table``; returns operation counts."""
+    stats = {"announced": 0, "reannounced": 0, "withdrawn": 0}
+    for update in schedule:
+        if update.is_withdrawal:
+            table.remove_route(update.prefix)
+            stats["withdrawn"] += 1
+            continue
+        stats["reannounced" if table.has_route(update.prefix)
+              else "announced"] += 1
+        table.add_route(update.prefix, Route(
+            port=update.port,
+            next_hop=IPv4Address((10 << 24) | (update.port << 8) | 1)))
+    return stats
+
+
 class TestChurnGenerator:
     def test_update_mix(self, table):
-        gen = ChurnGenerator(table, withdraw_fraction=0.3,
-                             reannounce_fraction=0.4, seed=2)
-        updates = list(gen.updates(500))
+        updates = list(_churn(table, 500, withdraw_fraction=0.3,
+                              reannounce_fraction=0.4, seed=2))
         withdrawals = sum(1 for u in updates if u.is_withdrawal)
         assert 100 < withdrawals < 200  # ~30 %
 
     def test_apply_keeps_table_consistent(self, table):
         size_before = len(table)
-        gen = ChurnGenerator(table, seed=3)
-        stats = gen.apply(400)
-        assert stats["withdraw_misses"] == 0
+        # remove_route raises on a miss, so every withdrawal named an
+        # installed prefix.
+        stats = _apply(table, _churn(table, 400, seed=3))
+        assert sum(stats.values()) == 400
         assert len(table) == (size_before + stats["announced"]
                               - stats["withdrawn"])
 
     def test_withdrawn_prefixes_stop_matching_exactly(self, table):
-        gen = ChurnGenerator(table, withdraw_fraction=1.0,
-                             reannounce_fraction=0.0, seed=4)
-        removed = [u.prefix for u in gen.updates(50)]
+        schedule = _churn(table, 50, withdraw_fraction=1.0,
+                          reannounce_fraction=0.0, seed=4)
+        removed = [u.prefix for u in schedule]
         for prefix in removed:
             table.remove_route(prefix)
         for prefix in removed:
             assert not table.has_route(prefix)
 
     def test_deterministic(self, table):
-        a = [u.prefix for u in ChurnGenerator(table, seed=5).updates(50)]
-        b = [u.prefix for u in ChurnGenerator(
-            generate_rib(num_entries=300, num_ports=4, seed=1),
-            seed=5).updates(50)]
+        a = [u.prefix for u in _churn(table, 50, seed=5)]
+        b = [u.prefix for u in _churn(
+            generate_rib(num_entries=300, num_ports=4, seed=1), 50, seed=5)]
         assert a == b
 
     def test_bad_fractions(self, table):
         with pytest.raises(ConfigurationError):
-            ChurnGenerator(table, withdraw_fraction=0.8,
-                           reannounce_fraction=0.5)
+            _churn(table, 1, withdraw_fraction=0.8, reannounce_fraction=0.5)
         with pytest.raises(ConfigurationError):
-            ChurnGenerator(table, withdraw_fraction=-0.1)
+            _churn(table, 1, withdraw_fraction=-0.1)
 
     def test_update_dataclass(self, table):
         prefix = next(iter(dict(table.routes())))
-        assert Update(prefix=prefix, route=None).is_withdrawal
-        assert not Update(prefix=prefix, route="r").is_withdrawal
+        assert TimedUpdate(time=0.0, prefix=prefix, port=None).is_withdrawal
+        assert not TimedUpdate(time=0.0, prefix=prefix, port=1).is_withdrawal
 
 
 class TestChurnedFibAgreesWithOracle:
@@ -65,12 +90,10 @@ class TestChurnedFibAgreesWithOracle:
         """Property: after an arbitrary churn episode, the DIR-24-8 FIB
         agrees with a trie replaying the same final route set."""
         table = generate_rib(num_entries=60, num_ports=3, seed=seed)
-        gen = ChurnGenerator(table, seed=seed + 1)
-        gen.apply(120)
+        _apply(table, _churn(table, 120, seed=seed + 1))
         oracle = BinaryTrie()
         for prefix, route in table.routes():
             oracle.insert(prefix, route)
-        import random
         rng = random.Random(seed + 2)
         for _ in range(200):
             probe = rng.getrandbits(32)
