@@ -1,29 +1,35 @@
-"""One shard of a partitioned cluster simulation, and the merge step.
+"""The cluster simulation: one partition of it, and the merge step.
 
 :class:`ClusterPartition` builds the subset of a
 :class:`~repro.core.router.RouteBricksRouter` cluster assigned to one
 partition: local nodes, local-to-local mesh links, and
 :class:`~repro.simnet.partition.CrossLink` boundaries for every directed
-cable whose receive side lives elsewhere.  Node seeds come from the same
-:func:`~repro.simnet.rng.node_seeds` chain the single-sim build uses, so
-node ``i`` rolls identical dice no matter how the cluster is sharded --
-the keystone of the workers-independence guarantee.
+cable whose receive side lives elsewhere.  The single-heap run *is* the
+one-partition case: :meth:`RouteBricksRouter.simulate` builds one
+partition owning every node, advances it to the horizon and folds it
+with :func:`merge_fragments`.  Node seeds come from one
+:func:`~repro.simnet.rng.node_seeds` chain, so node ``i`` rolls
+identical dice no matter how the cluster is sharded -- the keystone of
+the workers-independence guarantee.
 
 Everything a partition measures lands in a :class:`PartitionFragment`
 (a picklable result bundle); :func:`merge_fragments` folds fragments
 into one :class:`~repro.core.router.SimulationReport` in partition-id
 order, so merged scalars are bit-identical run to run and -- for
-fault-free runs -- bit-identical to the single-heap engine.
+fault-free runs -- bit-identical at any partition count.
 
-The driving epoch loop lives in :mod:`repro.parallel`.
+:func:`realize_arrivals` validates and realizes a run's traffic for both
+entry points.  The driving epoch loop of a multi-partition run lives in
+:mod:`repro.parallel`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..errors import ConfigurationError
 from ..net.packet import Packet
 from ..obs.hooks import ClusterObserver
 from ..obs.metrics import MetricsRegistry
@@ -40,9 +46,9 @@ from .router import SimulationReport
 #: worker-local registry shaped exactly like the parent's.
 RegistryConfig = Tuple[bool, float, int, bool, int]
 
-#: Observer placement: ``"event"`` keeps the legacy self-rearming tick
-#: chain inside the partition's own event queue (exactly one partition
-#: runs this, preserving the single-sim event count); ``"barrier"``
+#: Observer placement: ``"event"`` keeps the self-rearming tick chain
+#: inside the partition's own event queue (exactly one partition runs
+#: this, preserving the single-heap event count); ``"barrier"``
 #: partitions are sampled by the runner at epoch barriers that land on
 #: the same tick grid; ``None`` disables observation.
 OBSERVER_EVENT = "event"
@@ -57,20 +63,65 @@ def registry_config_of(registry: MetricsRegistry) -> RegistryConfig:
             registry.tracer.max_traces)
 
 
+def realize_arrivals(router, events, until: Optional[float],
+                     route_via_fib: bool = False) -> Iterator[tuple]:
+    """Validate a run's traffic and realize it as arrivals.
+
+    ``events`` yields ``(time, ingress node, egress node, packet)`` or is
+    a :class:`~repro.workloads.WorkloadSpec` carrying a traffic matrix,
+    realized over the ``until`` horizon.  The horizon must be positive
+    when given.  An egress of ``None`` is allowed only with
+    ``route_via_fib``, where the ingress node's FIB picks the egress and
+    the field is ignored.  Returns an iterator of validated arrival
+    tuples; the per-arrival checks run as it is consumed.
+    """
+    from ..workloads.spec import WorkloadSpec
+
+    if until is not None and until <= 0:
+        raise ConfigurationError(
+            "the horizon must be positive (until=%r)" % (until,))
+    n = router.num_nodes
+    if isinstance(events, WorkloadSpec):
+        if until is None:
+            raise ConfigurationError(
+                "simulating a WorkloadSpec needs an explicit horizon "
+                "(until=...)")
+        workload = events
+        events = workload.events(until)
+        if workload.matrix.n != n:
+            raise ConfigurationError(
+                "workload matrix is %dx%d but the cluster has %d nodes"
+                % (workload.matrix.n, workload.matrix.n, n))
+    return _checked_arrivals(events, n, route_via_fib)
+
+
+def _checked_arrivals(events, n: int, route_via_fib: bool):
+    for arrival in events:
+        ingress, egress = arrival[1], arrival[2]
+        if not 0 <= ingress < n:
+            raise ConfigurationError("bad ingress node %r" % ingress)
+        if not route_via_fib and (egress is None or not 0 <= egress < n):
+            raise ConfigurationError("bad egress node %r" % egress)
+        yield arrival
+
+
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Everything a worker needs to build and drive one partition.
+    """Everything needed to build and drive one partition.
 
-    The spec is fully picklable: the router carries only plain
-    configuration, arrivals are pre-realized ``(time, ingress, egress,
-    wire)`` tuples (the parent rolls the arrival process once, so the
-    offered traffic is identical at any worker count), and the fault
-    schedule is shared data every partition filters for itself.
+    A multi-partition run's spec is fully picklable: the router carries
+    only plain configuration, arrivals are pre-realized ``(time, ingress,
+    egress, wire)`` tuples (the parent rolls the arrival process once, so
+    the offered traffic is identical at any worker count), and the fault
+    schedule is shared data every partition filters for itself.  A
+    single-heap run never crosses a process boundary: its arrivals are
+    live ``Packet`` tuples, consumed once as they are scheduled.
+    Build specs with :meth:`checked`.
     """
 
     router: object                      # RouteBricksRouter
     assignment: Tuple[int, ...]         # node id -> partition id
-    partition_id: int
+    partition_id: int = 0
     rate_limited_egress: bool = False
     failed_links: Tuple[Tuple[int, int], ...] = ()
     faults: Optional[object] = None     # FaultSchedule
@@ -80,6 +131,27 @@ class PartitionSpec:
     observer_mode: Optional[str] = None
     observer_interval_sec: float = 1e-4
     registry_config: RegistryConfig = (False, 1e-4, 64, False, 256)
+
+    @classmethod
+    def checked(cls, router, *, failed_links=(), faults=None,
+                **fields) -> "PartitionSpec":
+        """A spec with validated ``failed_links`` and ``faults`` (a
+        :class:`~repro.faults.FaultSchedule` or its dict/JSON-dict form);
+        ``assignment`` defaults to one partition owning every node."""
+        n = router.num_nodes
+        for src, dst in failed_links:
+            if not (0 <= src < n and 0 <= dst < n):
+                raise ConfigurationError("bad failed link (%r, %r)"
+                                         % (src, dst))
+        if faults is not None:
+            from ..faults.schedule import FaultSchedule
+            if not isinstance(faults, FaultSchedule):
+                faults = FaultSchedule.from_dict(faults)
+            faults.validate(n)
+        fields.setdefault("assignment", (0,) * n)
+        return cls(router=router,
+                   failed_links=tuple(tuple(pair) for pair in failed_links),
+                   faults=faults, **fields)
 
 
 @dataclass
@@ -103,34 +175,44 @@ class PartitionFragment:
     fault_events: int = 0
     fault_flushed_packets: int = 0
     events_run: int = 0
-    busy_seconds: float = 0.0
+    #: CPU seconds the epoch loop measured (``None`` for a single-heap
+    #: run, which has no epoch loop).
+    busy_seconds: Optional[float] = None
     registry: Optional[MetricsRegistry] = None
 
 
 class ClusterPartition:
     """The live simulation island for one :class:`PartitionSpec`.
 
-    Construction mirrors :meth:`RouteBricksRouter.simulate` step for
-    step (build, failed links, fault injector, egress accounting,
-    arrival scheduling, observer) so that events landing at equal
-    simulated times keep the single-sim engine's schedule-order
-    tie-break within the partition.
+    Construction builds the model -- nodes, links, failed links, the
+    fault injector and egress accounting -- and :meth:`start` schedules
+    the arrivals and starts the observer.  A single-heap run arms its
+    own extras (churn, resequencer expiry) between the two, so events
+    landing at equal simulated times keep one schedule-order tie-break
+    at any partition count.
+
+    ``registry`` makes the partition record into that registry (the
+    single-heap run's own); by default it builds a worker-local registry
+    from ``spec.registry_config`` and never falls back to the
+    process-global active one.  ``manager`` attaches a
+    :class:`~repro.core.control.ClusterManager` to the fault injector,
+    which needs the partition to own every node.
     """
 
-    def __init__(self, spec: PartitionSpec):
+    def __init__(self, spec: PartitionSpec,
+                 registry: Optional[MetricsRegistry] = None,
+                 manager=None):
         router = spec.router
-        enabled, bin_sec, sample_every, profile, max_traces = \
-            spec.registry_config
-        # Always an explicit registry (possibly disabled): partitions
-        # must never fall back to the process-global active registry,
-        # which in an inline run would be the parent's.
-        self.registry = MetricsRegistry(
-            enabled=enabled, timeline_bin_sec=bin_sec,
-            trace_sample_every=sample_every, profile=profile)
-        self.registry.tracer.max_traces = max_traces
+        if registry is None:
+            enabled, bin_sec, sample_every, profile, max_traces = \
+                spec.registry_config
+            registry = MetricsRegistry(
+                enabled=enabled, timeline_bin_sec=bin_sec,
+                trace_sample_every=sample_every, profile=profile)
+            registry.tracer.max_traces = max_traces
+        self.registry = registry
         self.spec = spec
-        self.partition = Partition(spec.partition_id, seed=router.seed,
-                                   metrics=self.registry)
+        self.partition = Partition(spec.partition_id, metrics=self.registry)
         sim = self.partition.sim
         self.sim = sim
         n = router.num_nodes
@@ -178,14 +260,15 @@ class ClusterPartition:
         self.injector = None
         if spec.faults is not None:
             from ..faults.inject import (DEFAULT_DETECTION_LATENCY_SEC,
-                                         PartitionFaultInjector)
-            self.injector = PartitionFaultInjector(
-                sim, self.nodes, spec.faults, num_nodes=n,
+                                         FaultInjector)
+            self.injector = FaultInjector(
+                sim, self.nodes.values(), spec.faults, manager=manager,
                 detection_latency_sec=(
                     DEFAULT_DETECTION_LATENCY_SEC
                     if spec.detection_latency_sec is None
                     else spec.detection_latency_sec),
-                fib_push_latency_sec=spec.fib_push_latency_sec)
+                fib_push_latency_sec=spec.fib_push_latency_sec,
+                num_nodes=n)
 
         self.delivered_packets = 0
         self.delivered_bytes = 0
@@ -193,40 +276,53 @@ class ClusterPartition:
         self.indirect_packets = 0
         self.latency_usec: List[float] = []
         self.meter = ReorderingMeter()
-
-        def on_egress(packet: Packet, now: float) -> None:
-            self.delivered_packets += 1
-            self.delivered_bytes += packet.length
-            self.meter.observe(packet)
-            self.latency_usec.append(to_usec(now - packet.arrival_time))
-            if len(packet.path) <= 2:
-                self.direct_packets += 1
-            else:
-                self.indirect_packets += 1
-
         for node in self.nodes.values():
-            node.egress_callback = on_egress
-
-        for time, ingress, egress, wire in spec.arrivals:
-            sim.schedule_timer_at(
-                time, lambda node=self.nodes[ingress], w=wire, e=egress:
-                node.ingress(Packet.from_wire(w), e))
-
+            node.egress_callback = self.count_egress
         self.observer = None
-        if spec.observer_mode is not None:
+
+    def count_egress(self, packet: Packet, now: float) -> None:
+        """Account one packet leaving the cluster on an external line."""
+        self.delivered_packets += 1
+        self.delivered_bytes += packet.length
+        self.meter.observe(packet)
+        self.latency_usec.append(to_usec(now - packet.arrival_time))
+        if len(packet.path) <= 2:
+            self.direct_packets += 1
+        else:
+            self.indirect_packets += 1
+
+    def start(self, ingress=None) -> int:
+        """Schedule the spec's arrivals, then start observing.
+
+        ``ingress(node, item, egress)`` admits one arrival at its time;
+        by default ``item`` is a live ``Packet`` handed to
+        ``node.ingress``.  Returns the number of arrivals scheduled.
+        """
+        sim = self.sim
+        nodes = self.nodes
+        if ingress is None:
+            ingress = ClusterNode.ingress
+        offered = 0
+        for time, node_id, egress, item in self.spec.arrivals:
+            offered += 1
+            sim.schedule_timer_at(
+                time, lambda n=nodes[node_id], p=item, e=egress:
+                ingress(n, p, e))
+
+        mode = self.spec.observer_mode
+        if mode is not None:
             self.observer = ClusterObserver(
-                sim, [self.nodes[i] for i in local], self.registry,
-                interval_sec=spec.observer_interval_sec,
-                keep_alive=((lambda: self.partition.keep_alive)
-                            if spec.observer_mode == OBSERVER_EVENT
-                            else None))
-            if spec.observer_mode == OBSERVER_EVENT:
+                sim, list(nodes.values()), self.registry,
+                interval_sec=self.spec.observer_interval_sec,
+                keep_alive=lambda: self.partition.keep_alive)
+            if mode == OBSERVER_EVENT:
                 self.observer.start()
             else:
-                # Barrier-driven partitions still take the legacy t=0
-                # sample; later samples come from the runner at epoch
-                # barriers landing exactly on the tick grid.
+                # Barrier-driven partitions still take the t=0 sample;
+                # later samples come from the runner at epoch barriers
+                # landing exactly on the tick grid.
                 self.observer.sample()
+        return offered
 
     # -- runner protocol -----------------------------------------------------
 
@@ -265,8 +361,9 @@ class ClusterPartition:
         frag.latency_usec = self.latency_usec
         frag.reordered_sequences = self.meter.reordered_count()
         frag.reorder_packets = self.meter.packets_observed()
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
+        for node in self.nodes.values():            # in node-id order
+            # node.dropped counts failed sends on internal links and the
+            # external line, and fault flushes (links double-book them).
             frag.dropped_packets += node.dropped
             frag.node_stats.append({
                 "node": node.node_id,
@@ -320,7 +417,8 @@ def merge_fragments(fragments: List[PartitionFragment], *,
         report.fault_events += frag.fault_events
         report.fault_flushed_packets += frag.fault_flushed_packets
         report.events_run += frag.events_run
-        report.partition_busy_seconds.append(frag.busy_seconds)
+        if frag.busy_seconds is not None:
+            report.partition_busy_seconds.append(frag.busy_seconds)
         if registry is not None and frag.registry is not None:
             registry.merge(frag.registry)
     report.node_stats.sort(key=lambda row: row["node"])

@@ -9,12 +9,12 @@ Two complementary views:
   35 Gbps (Abilene) results (Sec. 6.2).
 * :meth:`RouteBricksRouter.simulate` -- the packet-level DES: full-mesh
   links, Direct VLB with flowlets (or per-packet balancing), per-role
-  latencies; measures reordering, latency, loss.
+  latencies; measures reordering, latency, loss.  It runs the cluster as
+  the one-partition case of :mod:`repro.core.partition`.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -28,11 +28,8 @@ from ..obs.trace import TRACE_ANNOTATION
 from ..perfmodel.loads import DEFAULT_CONFIG, ServerConfig
 from ..results import RunResult
 from ..simnet.engine import Simulator
-from ..simnet.links import Link
-from ..simnet.rng import node_seeds
 from ..units import gbps, rate_pps_to_bps, to_usec
 from .node import ClusterNode
-from .reordering import ReorderingMeter
 
 #: Effective per-NIC payload limit observed in cluster operation
 #: (Sec. 6.2: the external-line NIC sustains ~8.75 Gbps external + ~3 Gbps
@@ -251,32 +248,13 @@ class RouteBricksRouter:
         :mod:`repro.obs` registry) turns on per-hop latency, drop-cause,
         and link-occupancy instrumentation.
         """
-        sim = Simulator(metrics=metrics)
-        seeds = node_seeds(self.seed, self.num_nodes)
-        nodes = [ClusterNode(node_id=i, sim=sim, num_nodes=self.num_nodes,
-                             rng=random.Random(seeds[i]),
-                             use_flowlets=self.use_flowlets,
-                             link_busy_threshold_sec=self.link_busy_threshold_sec,
-                             metrics=metrics)
-                 for i in range(self.num_nodes)]
-        for src in nodes:
-            for dst in nodes:
-                if src is dst:
-                    continue
-                link = Link(sim,
-                            name="link-%d-%d" % (src.node_id, dst.node_id),
-                            rate_bps=self.internal_link_bps,
-                            deliver=dst.receive_internal,
-                            propagation_sec=self.propagation_sec)
-                src.connect(dst.node_id, link)
-        if rate_limited_egress:
-            for node in nodes:
-                node.egress_link = Link(
-                    sim, name="ext-%d" % node.node_id,
-                    rate_bps=self.port_rate_bps,
-                    deliver=node._egress_done,
-                    queue_packets=256)
-        return sim, nodes
+        from ..obs.metrics import active_registry
+        from .partition import ClusterPartition, PartitionSpec
+        registry = metrics if metrics is not None else active_registry()
+        spec = PartitionSpec.checked(self,
+                                     rate_limited_egress=rate_limited_egress)
+        part = ClusterPartition(spec, registry=registry)
+        return part.sim, list(part.nodes.values())
 
     def simulate(self,
                  events,
@@ -294,9 +272,15 @@ class RouteBricksRouter:
 
         ``events`` yields (time, ingress node, egress node, packet) -- or
         is a :class:`~repro.workloads.WorkloadSpec` carrying a traffic
-        matrix, realized over the ``until`` horizon.  The report covers
-        reordering (per the Sec. 6.2 metric), latency, goodput, and path
-        statistics.
+        matrix, realized over the ``until`` horizon.  ``until=None`` runs
+        until the event queue drains.  The report covers reordering (per
+        the Sec. 6.2 metric), latency, goodput, and path statistics.
+
+        The run is the one-partition case of the partitioned engine
+        (:class:`~repro.core.partition.ClusterPartition`), so it computes
+        exactly what :func:`repro.parallel.simulate_parallel` computes at
+        any worker count; the features below need the global view and
+        exist only here.
 
         ``failed_links`` marks directed (src, dst) internal cables as
         down from the start.  ``faults`` scripts *timed* failures: a
@@ -319,117 +303,59 @@ class RouteBricksRouter:
         (see :class:`~repro.control.ChurnDriver`) whose scheduled
         update/sync callbacks interleave with forwarding events.
         """
-        from ..workloads.spec import WorkloadSpec
+        from ..obs.hooks import observer_interval
+        from ..obs.metrics import active_registry
+        from .partition import (OBSERVER_EVENT, ClusterPartition,
+                                PartitionSpec, merge_fragments,
+                                realize_arrivals)
 
-        if isinstance(events, WorkloadSpec):
-            workload = events
-            if workload.matrix is None:
-                raise ConfigurationError(
-                    "workload %r has no traffic matrix; use with_matrix()"
-                    % workload.name)
-            if workload.matrix.n != self.num_nodes:
-                raise ConfigurationError(
-                    "workload matrix is %dx%d but the cluster has %d nodes"
-                    % (workload.matrix.n, workload.matrix.n, self.num_nodes))
-            if until is None:
-                raise ConfigurationError(
-                    "simulating a WorkloadSpec needs an explicit horizon "
-                    "(until=...)")
-            events = workload.events(until)
-        sim, nodes = self.build_simulation(rate_limited_egress,
-                                           metrics=metrics)
-        for src, dst in failed_links:
-            if not (0 <= src < self.num_nodes and 0 <= dst < self.num_nodes):
-                raise ConfigurationError("bad failed link (%r, %r)"
-                                         % (src, dst))
-            nodes[src].failed_hops.add(dst)
-        injector = None
-        if faults is not None:
-            from ..faults.inject import (DEFAULT_DETECTION_LATENCY_SEC,
-                                         FaultInjector)
-            from ..faults.schedule import FaultSchedule
-            if not isinstance(faults, FaultSchedule):
-                faults = FaultSchedule.from_dict(faults)
-            injector = FaultInjector(
-                sim, nodes, faults, manager=manager,
-                detection_latency_sec=(
-                    DEFAULT_DETECTION_LATENCY_SEC
-                    if detection_latency_sec is None
-                    else detection_latency_sec),
-                fib_push_latency_sec=fib_push_latency_sec)
         if route_via_fib and manager is None:
             raise ConfigurationError(
                 "route_via_fib needs a ClusterManager supplying per-node "
                 "FIBs (manager=...)")
+        arrivals = realize_arrivals(self, events, until,
+                                    route_via_fib=route_via_fib)
+        registry = metrics if metrics is not None else active_registry()
+        interval = observer_interval(until)
+        spec = PartitionSpec.checked(
+            self, rate_limited_egress=rate_limited_egress,
+            failed_links=failed_links, faults=faults,
+            detection_latency_sec=detection_latency_sec,
+            fib_push_latency_sec=fib_push_latency_sec,
+            arrivals=arrivals,
+            observer_mode=OBSERVER_EVENT if registry.enabled else None,
+            observer_interval_sec=interval)
+        part = ClusterPartition(spec, registry=registry, manager=manager)
+        sim = part.sim
+        # Extras are armed after the model and before the arrivals, so
+        # equal-time ties break in one schedule order.
         if churn is not None:
             churn.arm(sim)
-        report = SimulationReport()
-        meter = ReorderingMeter()
-        from ..obs.metrics import active_registry
-        registry = metrics if metrics is not None else active_registry()
-        # Forwarding-latency tail timeline, recorded only for control-
-        # plane runs (churn / FIB-routed): fault-free runs stay
-        # bit-identical with their partitioned twins.
-        latency_tl = None
+        count_egress = part.count_egress
         if registry.enabled and (route_via_fib or churn is not None):
-            from ..obs.hooks import observer_interval
+            # Forwarding-latency tail timeline, recorded only for control-
+            # plane runs (churn / FIB-routed).
             latency_tl = registry.timeline(
-                "cluster_latency_usec",
-                bin_sec=observer_interval(until),
+                "cluster_latency_usec", bin_sec=interval,
                 help="end-to-end forwarding latency during churn "
                      "(max per bin = the tail)").bind()
 
-        def on_egress(packet: Packet, now: float) -> None:
-            report.delivered_packets += 1
-            report.delivered_bytes += packet.length
-            meter.observe(packet)
-            latency = to_usec(now - packet.arrival_time)
-            report.latency_usec.observe(latency)
-            if latency_tl is not None:
-                latency_tl(now, latency)
-            if len(packet.path) <= 2:
-                report.direct_packets += 1
-            else:
-                report.indirect_packets += 1
+            def count_egress(packet: Packet, now: float,
+                             count=part.count_egress) -> None:
+                count(packet, now)
+                latency_tl(now, to_usec(now - packet.arrival_time))
 
-        if self.resequence:
-            # The rejected alternative (Sec. 6.1): buffer out-of-order
-            # arrivals at the output node and release flows in order.
-            from .resequencer import Resequencer
-            resequencers = []
-
-            def make_callback(node):
-                def deliver(packet: Packet) -> None:
-                    if registry.enabled:
-                        # Attribute the hold time before crediting egress:
-                        # the reorder buffer is a latency stage of its own.
-                        profiler = registry.profiler
-                        if profiler is not None:
-                            last = packet.annotations.get("prof_t")
-                            if last is not None and sim.now > last:
-                                profiler.charge(
-                                    to_usec(sim.now - last),
-                                    "node%d" % node.node_id, "reorder")
-                            packet.annotations["prof_t"] = sim.now
-                        trace = packet.annotations.get(TRACE_ANNOTATION)
-                        if trace is not None:
-                            trace.hop("reorder.release", sim.now)
-                    on_egress(packet, sim.now)
-
-                reseq = Resequencer(
-                    deliver=deliver,
-                    timeout_sec=self.resequence_timeout_sec)
+        resequencers = []
+        for node in part.nodes.values():
+            if self.resequence:
+                reseq = self._resequencer(node, sim, count_egress, registry)
                 resequencers.append(reseq)
-
-                def callback(packet: Packet, now: float,
-                             reseq=reseq) -> None:
-                    reseq.offer(packet.five_tuple(), packet, now)
-
-                return callback
-
-            for node in nodes:
-                node.egress_callback = make_callback(node)
-
+                node.egress_callback = (
+                    lambda packet, now, reseq=reseq:
+                    reseq.offer(packet.five_tuple(), packet, now))
+            else:
+                node.egress_callback = count_egress
+        if resequencers:
             def expire_all():
                 for reseq in resequencers:
                     reseq.expire(sim.now)
@@ -437,81 +363,64 @@ class RouteBricksRouter:
                     sim.schedule(self.resequence_timeout_sec / 2, expire_all)
 
             sim.schedule(self.resequence_timeout_sec / 2, expire_all)
-        else:
-            resequencers = []
-            for node in nodes:
-                node.egress_callback = on_egress
 
+        fib_misses = 0
+        ingress = None
         if route_via_fib:
             fib_of = manager.fib_of
 
-            def fib_ingress(node, packet):
+            def ingress(node, packet, egress):
                 # The egress node is whatever the ingress node's *own*
                 # FIB says right now -- churn applied on the simulation
                 # clock changes the answer mid-run.
+                nonlocal fib_misses
                 route = fib_of(node.node_id).lookup(int(packet.ip.dst))
                 if route is None:
-                    report.fib_miss_packets += 1
+                    fib_misses += 1
                     node._count_drop("fib_miss")
                     return
                 node.ingress(packet, route.port)
 
-            for time, ingress, egress, packet in events:
-                if not 0 <= ingress < self.num_nodes:
-                    raise ConfigurationError("bad ingress node %r" % ingress)
-                report.offered_packets += 1
-                sim.schedule_timer_at(time, lambda n=nodes[ingress],
-                                      p=packet: fib_ingress(n, p))
-        else:
-            for time, ingress, egress, packet in events:
-                if not 0 <= ingress < self.num_nodes:
-                    raise ConfigurationError("bad ingress node %r" % ingress)
-                if not 0 <= egress < self.num_nodes:
-                    raise ConfigurationError("bad egress node %r" % egress)
-                report.offered_packets += 1
-                sim.schedule_timer_at(time, lambda n=nodes[ingress], p=packet,
-                                      e=egress: n.ingress(p, e))
-        observer = None
-        if registry.enabled:
-            from ..obs.hooks import ClusterObserver, observer_interval
-            observer = ClusterObserver(
-                sim, nodes, registry,
-                interval_sec=observer_interval(until))
-            observer.start()
-        sim.run(until=until)
-        if observer is not None:
-            observer.stop()
+        offered = part.start(ingress)
+        part.advance(until)
         if churn is not None:
             churn.finalize()
         for reseq in resequencers:
             # Final flush: release anything still held back.
             reseq.expire(sim.now + self.resequence_timeout_sec * 2)
-            report.resequencer_held += reseq.held
-            report.resequencer_timeouts += reseq.timed_out
 
-        # node.dropped already counts failed sends on both internal links
-        # and the external line (the link's own drop counter double-books
-        # the same event, so it is not summed here).  Fault flushes land
-        # in node.dropped too, so the injector counter is informational.
-        report.dropped_packets = sum(node.dropped for node in nodes)
-        report.reordered_fraction = meter.reordered_fraction()
-        report.duration_sec = sim.now
-        report.events_run = sim.events_run
-        if injector is not None:
-            report.fault_events = injector.log.events_applied
-            report.fault_flushed_packets = injector.log.flushed_packets
-            report.convergence = list(injector.log.convergence)
-        for node in nodes:
-            report.node_stats.append({
-                "node": node.node_id,
-                "ingress": node.ingress_packets,
-                "egress": node.egress_packets,
-                "intermediate": node.intermediate_packets,
-            })
-            if node.flowlets is not None:
-                report.flowlet_switches += node.flowlets.switches
-                report.flowlet_spills += node.flowlets.spills
+        report = merge_fragments([part.finish()], offered_packets=offered,
+                                 duration_sec=sim.now, workers=1, epochs=0)
+        report.resequencer_held = sum(r.held for r in resequencers)
+        report.resequencer_timeouts = sum(r.timed_out for r in resequencers)
+        report.fib_miss_packets = fib_misses
+        if part.injector is not None:
+            report.convergence = list(part.injector.log.convergence)
         return report
+
+    def _resequencer(self, node, sim, count_egress, registry):
+        """The output-node reorder buffer (the rejected alternative, Sec.
+        6.1): hold out-of-order arrivals and release flows in order."""
+        from .resequencer import Resequencer
+
+        def deliver(packet: Packet) -> None:
+            if registry.enabled:
+                # Attribute the hold time before crediting egress: the
+                # reorder buffer is a latency stage of its own.
+                profiler = registry.profiler
+                if profiler is not None:
+                    last = packet.annotations.get("prof_t")
+                    if last is not None and sim.now > last:
+                        profiler.charge(to_usec(sim.now - last),
+                                        "node%d" % node.node_id, "reorder")
+                    packet.annotations["prof_t"] = sim.now
+                trace = packet.annotations.get(TRACE_ANNOTATION)
+                if trace is not None:
+                    trace.hop("reorder.release", sim.now)
+            count_egress(packet, sim.now)
+
+        return Resequencer(deliver=deliver,
+                           timeout_sec=self.resequence_timeout_sec)
 
     def replay_pair(self, timed_packets: Iterable[Tuple[float, Packet]],
                     ingress: int = 0, egress: int = 1) -> SimulationReport:

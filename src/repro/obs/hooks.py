@@ -30,25 +30,25 @@ DEFAULT_SAMPLES_PER_RUN = 50
 class ClusterObserver:
     """Periodic sampler of the cluster's internal links.
 
-    Construct it after :meth:`~repro.core.router.RouteBricksRouter
-    .build_simulation` and call :meth:`start` with the run horizon; it
-    cancels itself when the simulation drains.
+    :meth:`repro.core.partition.ClusterPartition.start` builds one per
+    observed run (every single-heap run and partition 0 of a sharded run
+    tick it in their own event queue); :meth:`start` takes a sample at
+    t=0 and re-arms every ``interval_sec`` until the simulation drains.
     """
 
     def __init__(self, sim, nodes, metrics: MetricsRegistry,
-                 interval_sec: float, keep_alive=None):
+                 interval_sec: float, keep_alive):
         if interval_sec <= 0:
             raise ValueError("observer interval must be positive")
         self.sim = sim
         self.nodes = nodes
         self.metrics = metrics
         self.interval_sec = interval_sec
-        #: Optional zero-arg callable consulted when the local queue has
-        #: drained: a partitioned run passes one returning True while
-        #: *other* partitions still have pending work, so the sampling
-        #: cadence matches the single-sim observer's (which sees every
-        #: pending event in its one global queue).  None preserves the
-        #: legacy single-sim behavior exactly.
+        #: Zero-arg callable consulted when the local queue has drained:
+        #: True while *other* partitions still have pending work (never,
+        #: in a single-heap run), so a partition keeps the sampling
+        #: cadence of the single heap, which sees every pending event in
+        #: its one queue.
         self.keep_alive = keep_alive
         self.samples = 0
         self._occupancy = metrics.timeline("link_occupancy",
@@ -95,8 +95,7 @@ class ClusterObserver:
         # Re-arm only while the simulation has other work: a periodic
         # task that unconditionally re-schedules would keep an
         # open-ended run (``until=None``) alive forever.
-        if self.sim.peek_time() is not None or (
-                self.keep_alive is not None and self.keep_alive()):
+        if self.sim.peek_time() is not None or self.keep_alive():
             self.sim.schedule(self.interval_sec, self._tick)
 
     def start(self) -> None:

@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import pickle
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from time import perf_counter, process_time
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..core.partition import (
     OBSERVER_BARRIER,
@@ -43,53 +44,17 @@ from ..core.partition import (
     PartitionFragment,
     PartitionSpec,
     merge_fragments,
+    realize_arrivals,
     registry_config_of,
 )
 from ..core.router import RouteBricksRouter, SimulationReport
 from ..core.topology import balanced_partitions
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
+from ..net.packet import Packet
 from ..obs.hooks import observer_interval
 from ..obs.metrics import active_registry
 
 BACKENDS = ("inline", "process")
-
-
-def _realize_arrivals(router: RouteBricksRouter, events, until,
-                      assignment: List[int]) \
-        -> Tuple[int, List[List[Tuple[float, int, int, tuple]]]]:
-    """Roll the arrival process once, in the parent.
-
-    Returns (offered count, per-partition arrival lists).  Realizing
-    centrally -- instead of per worker -- keeps the offered traffic, the
-    packet ids, and the flow sequence numbers identical to a single-sim
-    run at any worker count.
-    """
-    from ..workloads.spec import WorkloadSpec
-
-    if isinstance(events, WorkloadSpec):
-        workload = events
-        if workload.matrix is None:
-            raise ConfigurationError(
-                "workload %r has no traffic matrix; use with_matrix()"
-                % workload.name)
-        if workload.matrix.n != router.num_nodes:
-            raise ConfigurationError(
-                "workload matrix is %dx%d but the cluster has %d nodes"
-                % (workload.matrix.n, workload.matrix.n, router.num_nodes))
-        events = workload.events(until)
-    offered = 0
-    partitions = max(assignment) + 1
-    arrivals: List[List[Tuple[float, int, int, tuple]]] = [
-        [] for _ in range(partitions)]
-    for time, ingress, egress, packet in events:
-        if not 0 <= ingress < router.num_nodes:
-            raise ConfigurationError("bad ingress node %r" % ingress)
-        if not 0 <= egress < router.num_nodes:
-            raise ConfigurationError("bad egress node %r" % egress)
-        offered += 1
-        arrivals[assignment[ingress]].append(
-            (time, ingress, egress, packet.to_wire()))
-    return offered, arrivals
 
 
 def _tick_grid(interval: float, horizon: float) -> List[float]:
@@ -113,14 +78,28 @@ def _tick_grid(interval: float, horizon: float) -> List[float]:
 _WORKER: Optional[ClusterPartition] = None
 
 
+def _ingress_wire(node, wire, egress) -> None:
+    # Arrivals cross the process boundary wire-encoded and are decoded
+    # lazily, one per arrival event.
+    node.ingress(Packet.from_wire(wire), egress)
+
+
+def _open_partition(spec: PartitionSpec) -> ClusterPartition:
+    part = ClusterPartition(spec)
+    part.start(_ingress_wire)
+    return part
+
+
 def _worker_init(spec: PartitionSpec):
     global _WORKER
-    _WORKER = ClusterPartition(spec)
+    _WORKER = _open_partition(spec)
     return _WORKER.peek_time(), _WORKER.lookahead_sec
 
 
-def _worker_advance(until: float, records, keep_alive: bool, sample: bool):
-    part = _WORKER
+def _advance(part: ClusterPartition, until: float, records,
+             keep_alive: bool, sample: bool):
+    """One partition's share of an epoch: inject, run, sample.
+    Returns (outbox, next event time, CPU seconds spent running)."""
     part.set_keep_alive(keep_alive)
     if records:
         part.inject(records)
@@ -130,6 +109,10 @@ def _worker_advance(until: float, records, keep_alive: bool, sample: bool):
     if sample:
         part.sample_barrier()
     return outbox, part.peek_time(), busy
+
+
+def _worker_advance(until: float, records, keep_alive: bool, sample: bool):
+    return _advance(_WORKER, until, records, keep_alive, sample)
 
 
 def _worker_finish() -> PartitionFragment:
@@ -143,35 +126,18 @@ class _InlineBackend:
     backend."""
 
     def __init__(self, specs: List[PartitionSpec]):
-        self.partitions = [ClusterPartition(spec) for spec in specs]
-        self.busy = [0.0] * len(specs)
+        self.partitions = [_open_partition(spec) for spec in specs]
 
     def init_state(self):
         return [(p.peek_time(), p.lookahead_sec) for p in self.partitions]
 
     def advance_all(self, until, inboxes, keep_alive, sample):
-        out = []
-        for pid, part in enumerate(self.partitions):
-            part.set_keep_alive(keep_alive[pid])
-            records = inboxes[pid]
-            if records:
-                part.inject(pickle.loads(pickle.dumps(records)))
-            start = process_time()
-            outbox = part.advance(until)
-            busy = process_time() - start
-            self.busy[pid] += busy
-            if sample:
-                part.sample_barrier()
-            out.append((outbox, part.peek_time(), busy))
-        return out
+        return [_advance(part, until, pickle.loads(pickle.dumps(inboxes[pid])),
+                         keep_alive[pid], sample)
+                for pid, part in enumerate(self.partitions)]
 
     def finish(self) -> List[PartitionFragment]:
-        fragments = []
-        for pid, part in enumerate(self.partitions):
-            frag = part.finish()
-            frag.busy_seconds = self.busy[pid]
-            fragments.append(frag)
-        return fragments
+        return [part.finish() for part in self.partitions]
 
     def close(self):
         pass
@@ -183,42 +149,49 @@ class _ProcessBackend:
     A single-worker pool per partition pins the partition's simulation
     state to one process across epochs; submissions to different pools
     run concurrently, which is where the wall-clock speedup comes from
-    on a multi-core host.
+    on a multi-core host.  A worker that dies or raises surfaces as a
+    :class:`~repro.errors.SimulationError` naming the partition and the
+    epoch, with the original error chained.
     """
 
     def __init__(self, specs: List[PartitionSpec]):
         self.pools = [ProcessPoolExecutor(max_workers=1) for _ in specs]
         self.specs = specs
-        self.busy = [0.0] * len(specs)
+        self.epoch = 0
+
+    @staticmethod
+    def _result(pid: int, future, during: str):
+        try:
+            return future.result()
+        except Exception as exc:
+            raise SimulationError(
+                "partition %d failed %s: %s: %s"
+                % (pid, during, type(exc).__name__, exc)) from exc
 
     def init_state(self):
         futures = [pool.submit(_worker_init, spec)
                    for pool, spec in zip(self.pools, self.specs)]
-        return [future.result() for future in futures]
+        return [self._result(pid, future, "while starting")
+                for pid, future in enumerate(futures)]
 
     def advance_all(self, until, inboxes, keep_alive, sample):
         futures = [pool.submit(_worker_advance, until, inboxes[pid],
                                keep_alive[pid], sample)
                    for pid, pool in enumerate(self.pools)]
-        out = []
-        for pid, future in enumerate(futures):
-            outbox, peek, busy = future.result()
-            self.busy[pid] += busy
-            out.append((outbox, peek, busy))
-        return out
+        during = "in epoch %d (advancing to t=%r s)" % (self.epoch,
+                                                          float(until))
+        self.epoch += 1
+        return [self._result(pid, future, during)
+                for pid, future in enumerate(futures)]
 
     def finish(self) -> List[PartitionFragment]:
         futures = [pool.submit(_worker_finish) for pool in self.pools]
-        fragments = []
-        for pid, future in enumerate(futures):
-            frag = future.result()
-            frag.busy_seconds = self.busy[pid]
-            fragments.append(frag)
-        return fragments
+        return [self._result(pid, future, "while finishing")
+                for pid, future in enumerate(futures)]
 
     def close(self):
         for pool in self.pools:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
 
 
 def simulate_parallel(router: RouteBricksRouter,
@@ -248,9 +221,9 @@ def simulate_parallel(router: RouteBricksRouter,
     at any worker count (modulo the wall-clock ``engine_wall_seconds``
     counter); see ``tests/test_parallel.py`` for the enforced guarantee.
     """
-    if until is None or until <= 0:
+    if until is None:
         raise ConfigurationError(
-            "parallel simulation needs a positive horizon (until=...)")
+            "parallel simulation needs a horizon (until=...)")
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
     if backend not in BACKENDS:
@@ -258,14 +231,12 @@ def simulate_parallel(router: RouteBricksRouter,
             "unknown backend %r (choose from %s)" % (backend,
                                                      ", ".join(BACKENDS)))
     if workers == 1:
-        report = router.simulate(
+        return router.simulate(
             events, until=until,
             rate_limited_egress=rate_limited_egress,
             failed_links=failed_links, faults=faults, manager=manager,
             detection_latency_sec=detection_latency_sec,
             fib_push_latency_sec=fib_push_latency_sec, metrics=metrics)
-        report.workers = 1
-        return report
     if manager is not None:
         raise ConfigurationError(
             "a cluster manager needs the global view; run workers=1")
@@ -275,34 +246,30 @@ def simulate_parallel(router: RouteBricksRouter,
 
     registry = metrics if metrics is not None else active_registry()
     assignment = balanced_partitions(router.num_nodes, workers)
-    for src, dst in failed_links:
-        if not (0 <= src < router.num_nodes and 0 <= dst < router.num_nodes):
-            raise ConfigurationError("bad failed link (%r, %r)" % (src, dst))
-    if faults is not None:
-        from ..faults.schedule import FaultSchedule
-        if not isinstance(faults, FaultSchedule):
-            faults = FaultSchedule.from_dict(faults)
-        faults.validate(router.num_nodes)
-    offered, arrivals = _realize_arrivals(router, events, until, assignment)
-
     interval = observer_interval(until)
     observe = registry.enabled
-    config = registry_config_of(registry)
-    specs = [PartitionSpec(
-        router=router,
+    base = PartitionSpec.checked(
+        router, failed_links=failed_links, faults=faults,
         assignment=tuple(assignment),
-        partition_id=pid,
         rate_limited_egress=rate_limited_egress,
-        failed_links=tuple(tuple(pair) for pair in failed_links),
-        faults=faults,
         detection_latency_sec=detection_latency_sec,
         fib_push_latency_sec=fib_push_latency_sec,
-        arrivals=tuple(arrivals[pid]),
-        observer_mode=((OBSERVER_EVENT if pid == 0 else OBSERVER_BARRIER)
-                       if observe else None),
         observer_interval_sec=interval,
-        registry_config=config,
-    ) for pid in range(workers)]
+        registry_config=registry_config_of(registry))
+    # Roll the arrival process once, in the parent, so the offered
+    # traffic, packet ids and flow sequence numbers match a single-heap
+    # run at any worker count.
+    arrivals = [[] for _ in range(workers)]
+    for time, ingress, egress, packet in realize_arrivals(router, events,
+                                                          until):
+        arrivals[assignment[ingress]].append(
+            (time, ingress, egress, packet.to_wire()))
+    offered = sum(len(part) for part in arrivals)
+    specs = [replace(
+        base, partition_id=pid, arrivals=tuple(arrivals[pid]),
+        observer_mode=((OBSERVER_EVENT if pid == 0 else OBSERVER_BARRIER)
+                       if observe else None))
+        for pid in range(workers)]
 
     driver = (_InlineBackend(specs) if backend == "inline"
               else _ProcessBackend(specs))
@@ -429,6 +396,8 @@ def simulate_parallel(router: RouteBricksRouter,
         fragments = driver.finish()
     finally:
         driver.close()
+    for frag in fragments:
+        frag.busy_seconds = busy_totals[frag.partition_id]
 
     report = merge_fragments(
         fragments, offered_packets=offered, duration_sec=until,

@@ -1,7 +1,7 @@
 """Partitioned simulation islands with conservative lookahead.
 
-A :class:`Partition` wraps a :class:`Simulator` (its own heap, timer
-wheel, and RNG streams) plus the machinery to exchange packets with other
+A :class:`Partition` wraps a :class:`Simulator` (its own heap and timer
+wheel) plus the machinery to exchange packets with other
 partitions: a :class:`CrossLink` keeps the shared queueing/serialization
 semantics of :class:`Link` but, instead of scheduling a delivery event on
 the (remote) peer, appends a timestamped :class:`TransitRecord` to the
@@ -23,7 +23,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 from ..errors import ConfigurationError
 from .engine import Simulator
 from .links import Link
-from .rng import RngStreams
 
 
 class TransitRecord(NamedTuple):
@@ -46,12 +45,8 @@ class TransitRecord(NamedTuple):
 
     def frame_bytes(self) -> int:
         """Frame length of the carried packet, for barrier byte-volume
-        accounting.  ``wire[1]`` is ``Packet.to_wire()``'s length field;
-        non-packet payloads (not used today) would report 0."""
-        try:
-            return int(self.wire[1])
-        except (TypeError, ValueError, IndexError):
-            return 0
+        accounting: ``Packet.to_wire()``'s length field."""
+        return self.wire[1]
 
 
 class CrossLink(Link):
@@ -99,17 +94,16 @@ class Partition:
 
     Owns a private :class:`Simulator`, an outbox of transit records, and
     the table of local delivery callbacks for records addressed to its
-    nodes.  The runner alternates :meth:`inject` / :meth:`advance` /
-    :meth:`drain_outbox` under a barrier protocol; ``keep_alive`` is a
-    runner-maintained hint that other partitions still have pending work
-    (used by self-rearming observation loops that would otherwise stop
-    when the local queue drains).
+    nodes.  The runner alternates :meth:`inject` / :meth:`advance` under
+    a barrier protocol; ``keep_alive`` is a runner-maintained hint that
+    other partitions still have pending work (used by self-rearming
+    observation loops that would otherwise stop when the local queue
+    drains).
     """
 
-    def __init__(self, partition_id: int, *, seed: int = 0, metrics=None):
+    def __init__(self, partition_id: int, *, metrics=None):
         self.partition_id = partition_id
         self.sim = Simulator(metrics=metrics)
-        self.streams = RngStreams(seed).spawn("partition/%d" % partition_id)
         self.outbox: List[TransitRecord] = []
         self.keep_alive = False
         self._seq = 0
@@ -169,19 +163,12 @@ class Partition:
             self.sim.schedule_at(record.deliver_time,
                                  lambda cb=callback, w=record.wire: cb(w))
 
-    def drain_outbox(self) -> List[TransitRecord]:
-        """Take (and clear) the records produced since the last drain."""
+    # -- time advancement --------------------------------------------------
+
+    def advance(self, until: float) -> List[TransitRecord]:
+        """Run local events up to ``until``; return (and clear) the
+        records produced since the last call."""
+        self.sim.run(until=until)
         out = self.outbox
         self.outbox = []
         return out
-
-    # -- time advancement --------------------------------------------------
-
-    def peek_time(self) -> Optional[float]:
-        """Earliest pending local event time, or ``None`` when drained."""
-        return self.sim.peek_time()
-
-    def advance(self, until: float) -> List[TransitRecord]:
-        """Run local events up to ``until`` and return the outbox."""
-        self.sim.run(until=until)
-        return self.drain_outbox()

@@ -11,6 +11,7 @@ from repro.core.latency import (
 )
 from repro.errors import ConfigurationError
 from repro.workloads import FlowGenerator, WorkloadSpec
+from repro.workloads.matrices import uniform_matrix
 
 
 class TestAnalyticThroughput:
@@ -179,6 +180,25 @@ class TestSimulation:
         gen = FlowGenerator(num_flows=1, packets_per_flow=1)
         events = [(t, 9, 0, p) for t, p in gen.timed_packets()]
         with pytest.raises(ConfigurationError):
+            router.simulate(events)
+
+    @pytest.mark.parametrize("until", [-1.0, 0.0])
+    def test_non_positive_horizon_rejected(self, until):
+        router = RouteBricksRouter()
+        spec = WorkloadSpec.fixed(64).with_matrix(
+            uniform_matrix(4, router.port_rate_bps * 0.3))
+        with pytest.raises(ConfigurationError, match="until"):
+            router.simulate(spec, until=until)
+        gen = FlowGenerator(num_flows=1, packets_per_flow=1)
+        events = [(t, 0, 1, p) for t, p in gen.timed_packets()]
+        with pytest.raises(ConfigurationError, match="until"):
+            router.simulate(events, until=until)
+
+    def test_missing_egress_needs_fib_routing(self):
+        router = RouteBricksRouter()
+        gen = FlowGenerator(num_flows=1, packets_per_flow=1)
+        events = [(t, 0, None, p) for t, p in gen.timed_packets()]
+        with pytest.raises(ConfigurationError, match="egress"):
             router.simulate(events)
 
     def test_deterministic_for_seed(self):
