@@ -20,8 +20,10 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import re
 import sys
 import time
+from typing import Optional
 
 from . import calibration as cal
 from .analysis import EXPERIMENTS, format_table, run_experiment
@@ -301,18 +303,25 @@ def _cmd_faults(args) -> int:
     return 0
 
 
+def _rb_nodes(name: str) -> Optional[int]:
+    """The node count N of an ``rbN`` cluster name, or ``None`` (after
+    printing an ``error:`` line) unless ``name`` is one with N >= 2."""
+    match = re.fullmatch(r"rb(\d+)", name.lower())
+    if match and int(match.group(1)) >= 2:
+        return int(match.group(1))
+    print("error: topology must look like rb4/rb8/rb32 (rbN, N >= 2), "
+          "got %r" % name, file=sys.stderr)
+    return None
+
+
 def _cmd_control(args) -> int:
     import math
-    import re
 
     from .control import ChurnSchedule, run_churn
 
-    match = re.fullmatch(r"rb(\d+)", args.topology.lower())
-    if not match:
-        print("error: topology must look like rb4/rb8/rb32, got %r"
-              % args.topology, file=sys.stderr)
+    nodes = _rb_nodes(args.topology)
+    if nodes is None:
         return 2
-    nodes = int(match.group(1))
     duration = args.duration_ms * 1e-3
 
     if args.action == "churn":
@@ -387,20 +396,15 @@ def _cmd_control(args) -> int:
 
 
 def _cmd_parallel(args) -> int:
-    import re
-
     from .core import RouteBricksRouter
     from .errors import ReproError
     from .parallel import simulate_parallel
     from .workloads import WorkloadSpec
     from .workloads.matrices import uniform_matrix
 
-    match = re.fullmatch(r"rb(\d+)", args.topology.lower())
-    if not match:
-        print("error: topology must look like rb4/rb8/rb32, got %r"
-              % args.topology, file=sys.stderr)
+    nodes = _rb_nodes(args.topology)
+    if nodes is None:
         return 2
-    nodes = int(match.group(1))
     duration = args.duration_ms * 1e-3
     router = RouteBricksRouter(num_nodes=nodes, seed=args.seed)
     workload = WorkloadSpec.fixed(args.size).with_matrix(
@@ -557,8 +561,6 @@ def _cmd_obs(args) -> int:
         return 0 if report.agreement else 1
 
     if args.action == "timeline":
-        import re
-
         from .obs.timeline import chrome_trace, write_trace_json
 
         if len(args.names) != 1:
@@ -583,12 +585,9 @@ def _cmd_obs(args) -> int:
             name = doc.get("name", "bench")
             snapshot = doc.get("metrics") or {}
         else:
-            match = re.fullmatch(r"rb(\d+)", target.lower())
-            if not match:
-                print("error: name an rbN preset or a BENCH_*.json, got %r"
-                      % target, file=sys.stderr)
+            nodes = _rb_nodes(target)
+            if nodes is None:
                 return 2
-            nodes = int(match.group(1))
             from .core import RouteBricksRouter
             from .errors import ReproError
             from .obs.metrics import MetricsRegistry

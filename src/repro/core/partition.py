@@ -1,20 +1,22 @@
 """The cluster simulation: one partition of it, and the merge step.
 
-:class:`ClusterPartition` builds the subset of a
-:class:`~repro.core.router.RouteBricksRouter` cluster assigned to one
-partition: local nodes, local-to-local mesh links, and
+:class:`ClusterPartition` is the one shard of a cluster run.  It builds
+the subset of a :class:`~repro.core.router.RouteBricksRouter` cluster
+assigned to it -- local nodes, local-to-local mesh links, and
 :class:`~repro.simnet.partition.CrossLink` boundaries for every directed
-cable whose receive side lives elsewhere.  The single-heap run *is* the
-one-partition case: :meth:`RouteBricksRouter.simulate` builds one
-partition owning every node, advances it to the horizon and folds it
-with :func:`merge_fragments`.  Node seeds come from one
-:func:`~repro.simnet.rng.node_seeds` chain, so node ``i`` rolls
-identical dice no matter how the cluster is sharded -- the keystone of
-the workers-independence guarantee.
+cable whose receive side lives elsewhere -- on a private
+:class:`~repro.simnet.engine.Simulator`, and owns the outbox of
+transit records (:class:`~repro.simnet.partition.TransitRecord`) its
+cross-links fill.  The single-heap run *is* the one-partition case:
+:meth:`RouteBricksRouter.simulate` builds one partition owning every
+node, advances it to the horizon and reports its :meth:`finish`.  Node
+seeds come from one :func:`~repro.simnet.rng.node_seeds` chain, so node
+``i`` rolls identical dice no matter how the cluster is sharded -- the
+keystone of the workers-independence guarantee.
 
-Everything a partition measures lands in a :class:`PartitionFragment`
-(a picklable result bundle); :func:`merge_fragments` folds fragments
-into one :class:`~repro.core.router.SimulationReport` in partition-id
+:meth:`ClusterPartition.finish` returns a
+:class:`~repro.core.router.SimulationReport` covering the partition's
+own nodes; :func:`merge_reports` folds those reports in partition-id
 order, so merged scalars are bit-identical run to run and -- for
 fault-free runs -- bit-identical at any partition count.
 
@@ -26,15 +28,16 @@ entry points.  The driving epoch loop of a multi-partition run lives in
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..net.packet import Packet
 from ..obs.hooks import ClusterObserver
 from ..obs.metrics import MetricsRegistry
+from ..simnet.engine import Simulator
 from ..simnet.links import Link
-from ..simnet.partition import Partition, TransitRecord
+from ..simnet.partition import CrossLink, TransitRecord
 from ..simnet.rng import node_seeds
 from ..units import to_usec
 from .node import ClusterNode
@@ -154,33 +157,6 @@ class PartitionSpec:
                    faults=faults, **fields)
 
 
-@dataclass
-class PartitionFragment:
-    """One partition's share of the run results (picklable)."""
-
-    partition_id: int
-    delivered_packets: int = 0
-    delivered_bytes: int = 0
-    direct_packets: int = 0
-    indirect_packets: int = 0
-    #: Raw latency observations in local egress order; the merge refills
-    #: a histogram whose scalars are multiset-determined.
-    latency_usec: List[float] = field(default_factory=list)
-    reordered_sequences: int = 0
-    reorder_packets: int = 0
-    dropped_packets: int = 0
-    node_stats: List[dict] = field(default_factory=list)
-    flowlet_switches: int = 0
-    flowlet_spills: int = 0
-    fault_events: int = 0
-    fault_flushed_packets: int = 0
-    events_run: int = 0
-    #: CPU seconds the epoch loop measured (``None`` for a single-heap
-    #: run, which has no epoch loop).
-    busy_seconds: Optional[float] = None
-    registry: Optional[MetricsRegistry] = None
-
-
 class ClusterPartition:
     """The live simulation island for one :class:`PartitionSpec`.
 
@@ -190,6 +166,14 @@ class ClusterPartition:
     own extras (churn, resequencer expiry) between the two, so events
     landing at equal simulated times keep one schedule-order tie-break
     at any partition count.
+
+    A multi-partition runner alternates :meth:`inject` and
+    :meth:`advance` under a barrier protocol.  ``keep_alive`` is a
+    runner-maintained hint that other partitions still have pending
+    work, which keeps the self-rearming observer tick chain going when
+    the local queue drains.  ``lookahead_sec`` is the minimum
+    propagation over the partition's cross-links, or ``None`` when it
+    has none (a one-partition run may advance straight to the horizon).
 
     ``registry`` makes the partition record into that registry (the
     single-heap run's own); by default it builds a worker-local registry
@@ -212,9 +196,10 @@ class ClusterPartition:
             registry.tracer.max_traces = max_traces
         self.registry = registry
         self.spec = spec
-        self.partition = Partition(spec.partition_id, metrics=self.registry)
-        sim = self.partition.sim
-        self.sim = sim
+        self.sim = sim = Simulator(metrics=registry)
+        self.outbox: List[TransitRecord] = []
+        self.keep_alive = False
+        self._seq = 0
         n = router.num_nodes
         seeds = node_seeds(router.seed, n)
         local = [i for i in range(n)
@@ -227,6 +212,7 @@ class ClusterPartition:
                 link_busy_threshold_sec=router.link_busy_threshold_sec,
                 metrics=self.registry)
             for i in local}
+        cross_links = []
         for src_id in local:
             src = self.nodes[src_id]
             for dst_id in range(n):
@@ -239,12 +225,13 @@ class ClusterPartition:
                                 deliver=self.nodes[dst_id].receive_internal,
                                 propagation_sec=router.propagation_sec)
                 else:
-                    link = self.partition.cross_link(
-                        name, router.internal_link_bps, src_id, dst_id,
-                        propagation_sec=router.propagation_sec)
+                    link = CrossLink(self, name, router.internal_link_bps,
+                                     src_id, dst_id,
+                                     propagation_sec=router.propagation_sec)
+                    cross_links.append(link)
                 src.connect(dst_id, link)
-        for node_id, node in self.nodes.items():
-            self.partition.register_destination(node_id, node.receive_wire)
+        self.lookahead_sec: Optional[float] = min(
+            (link.propagation_sec for link in cross_links), default=None)
         if spec.rate_limited_egress:
             for node in self.nodes.values():
                 node.egress_link = Link(
@@ -270,6 +257,7 @@ class ClusterPartition:
                 fib_push_latency_sec=spec.fib_push_latency_sec,
                 num_nodes=n)
 
+        self.offered_packets = 0
         self.delivered_packets = 0
         self.delivered_bytes = 0
         self.direct_packets = 0
@@ -291,20 +279,19 @@ class ClusterPartition:
         else:
             self.indirect_packets += 1
 
-    def start(self, ingress=None) -> int:
+    def start(self, ingress=None) -> None:
         """Schedule the spec's arrivals, then start observing.
 
         ``ingress(node, item, egress)`` admits one arrival at its time;
         by default ``item`` is a live ``Packet`` handed to
-        ``node.ingress``.  Returns the number of arrivals scheduled.
+        ``node.ingress``.
         """
         sim = self.sim
         nodes = self.nodes
         if ingress is None:
             ingress = ClusterNode.ingress
-        offered = 0
         for time, node_id, egress, item in self.spec.arrivals:
-            offered += 1
+            self.offered_packets += 1
             sim.schedule_timer_at(
                 time, lambda n=nodes[node_id], p=item, e=egress:
                 ingress(n, p, e))
@@ -314,7 +301,7 @@ class ClusterPartition:
             self.observer = ClusterObserver(
                 sim, list(nodes.values()), self.registry,
                 interval_sec=self.spec.observer_interval_sec,
-                keep_alive=lambda: self.partition.keep_alive)
+                keep_alive=lambda: self.keep_alive)
             if mode == OBSERVER_EVENT:
                 self.observer.start()
             else:
@@ -322,25 +309,41 @@ class ClusterPartition:
                 # later samples come from the runner at epoch barriers
                 # landing exactly on the tick grid.
                 self.observer.sample()
-        return offered
 
-    # -- runner protocol -----------------------------------------------------
+    # -- record exchange -----------------------------------------------------
 
-    @property
-    def lookahead_sec(self) -> Optional[float]:
-        return self.partition.lookahead_sec
-
-    def peek_time(self) -> Optional[float]:
-        return self.sim.peek_time()
-
-    def set_keep_alive(self, flag: bool) -> None:
-        self.partition.keep_alive = flag
+    def _emit(self, src_node: int, dst_node: int, send_time: float,
+              deliver_time: float, packet) -> None:
+        """Queue one cross-link delivery (called by :class:`CrossLink`)."""
+        self.outbox.append(TransitRecord(deliver_time, send_time, src_node,
+                                         self._seq, dst_node,
+                                         packet.to_wire()))
+        self._seq += 1
 
     def inject(self, records: List[TransitRecord]) -> None:
-        self.partition.inject(records)
+        """Schedule incoming transit records as local delivery events.
 
-    def advance(self, until: float) -> List[TransitRecord]:
-        return self.partition.advance(until)
+        Records are sorted by their full tie-break key first, so the
+        injection order (and hence local event seq order among equal-time
+        deliveries) is independent of how the runner batched them.
+        """
+        for record in sorted(records):
+            node = self.nodes.get(record.dst_node)
+            if node is None:
+                raise ConfigurationError(
+                    "partition %d has no destination for node %d"
+                    % (self.spec.partition_id, record.dst_node))
+            self.sim.schedule_at(
+                record.deliver_time,
+                lambda receive=node.receive_wire, w=record.wire: receive(w))
+
+    def advance(self, until: Optional[float]) -> List[TransitRecord]:
+        """Run local events up to ``until`` (``None`` drains the queue);
+        return (and clear) the records produced since the last call."""
+        self.sim.run(until=until)
+        out = self.outbox
+        self.outbox = []
+        return out
 
     def sample_barrier(self) -> None:
         """Take one observer sample at an epoch barrier (no-op unless
@@ -349,79 +352,67 @@ class ClusterPartition:
                 and self.spec.observer_mode == OBSERVER_BARRIER):
             self.observer.sample()
 
-    def finish(self) -> PartitionFragment:
-        """Stop observing and bundle up this partition's results."""
+    def finish(self) -> SimulationReport:
+        """Stop observing and report on this partition's own nodes."""
         if self.observer is not None:
             self.observer.stop()
-        frag = PartitionFragment(partition_id=self.spec.partition_id)
-        frag.delivered_packets = self.delivered_packets
-        frag.delivered_bytes = self.delivered_bytes
-        frag.direct_packets = self.direct_packets
-        frag.indirect_packets = self.indirect_packets
-        frag.latency_usec = self.latency_usec
-        frag.reordered_sequences = self.meter.reordered_count()
-        frag.reorder_packets = self.meter.packets_observed()
+        report = SimulationReport(
+            offered_packets=self.offered_packets,
+            delivered_packets=self.delivered_packets,
+            delivered_bytes=self.delivered_bytes,
+            direct_packets=self.direct_packets,
+            indirect_packets=self.indirect_packets,
+            reordered_sequences=self.meter.reordered_count(),
+            duration_sec=self.sim.now,
+            events_run=self.sim.events_run)
+        report.latency_usec.extend(self.latency_usec)
         for node in self.nodes.values():            # in node-id order
             # node.dropped counts failed sends on internal links and the
             # external line, and fault flushes (links double-book them).
-            frag.dropped_packets += node.dropped
-            frag.node_stats.append({
+            report.dropped_packets += node.dropped
+            report.node_stats.append({
                 "node": node.node_id,
                 "ingress": node.ingress_packets,
                 "egress": node.egress_packets,
                 "intermediate": node.intermediate_packets,
             })
             if node.flowlets is not None:
-                frag.flowlet_switches += node.flowlets.switches
-                frag.flowlet_spills += node.flowlets.spills
+                report.flowlet_switches += node.flowlets.switches
+                report.flowlet_spills += node.flowlets.spills
         if self.injector is not None:
-            frag.fault_events = self.injector.log.events_applied
-            frag.fault_flushed_packets = self.injector.log.flushed_packets
-        frag.events_run = self.sim.events_run
-        frag.registry = self.registry if self.registry.enabled else None
-        return frag
+            report.fault_events = self.injector.log.events_applied
+            report.fault_flushed_packets = self.injector.log.flushed_packets
+            report.convergence = list(self.injector.log.convergence)
+        report.reordered_fraction = (
+            report.reordered_sequences / report.delivered_packets
+            if report.delivered_packets else 0.0)
+        return report
 
 
-def merge_fragments(fragments: List[PartitionFragment], *,
-                    offered_packets: int, duration_sec: float,
-                    workers: int, epochs: int,
-                    registry: Optional[MetricsRegistry] = None) \
-        -> SimulationReport:
-    """Fold partition fragments into one :class:`SimulationReport`.
+#: Counters a merge sums across partition reports.
+_SUMMED = ("offered_packets", "delivered_packets", "delivered_bytes",
+           "direct_packets", "indirect_packets", "reordered_sequences",
+           "dropped_packets", "flowlet_switches", "flowlet_spills",
+           "fault_events", "fault_flushed_packets", "events_run")
 
-    Fragments are processed in partition-id order, so every sum, the
-    latency histogram's backing multiset, and the merged metrics
-    registry come out identical regardless of which worker finished
-    first.  When ``registry`` is given, each fragment's worker-local
-    registry is merged into it.
+
+def merge_reports(reports: List[SimulationReport]) -> SimulationReport:
+    """Fold per-partition reports, in partition-id order, into one.
+
+    Counters sum, latencies pool into one reservoir, node rows sort by
+    node id and the duration is the latest partition clock.  The caller
+    fills in how the run executed (``workers``, ``epochs``,
+    per-partition timings).
     """
-    report = SimulationReport()
-    report.offered_packets = offered_packets
-    report.duration_sec = duration_sec
-    report.workers = workers
-    report.epochs = epochs
-    reordered = 0
-    reorder_packets = 0
-    for frag in sorted(fragments, key=lambda f: f.partition_id):
-        report.delivered_packets += frag.delivered_packets
-        report.delivered_bytes += frag.delivered_bytes
-        report.direct_packets += frag.direct_packets
-        report.indirect_packets += frag.indirect_packets
-        report.latency_usec.extend(frag.latency_usec)
-        reordered += frag.reordered_sequences
-        reorder_packets += frag.reorder_packets
-        report.dropped_packets += frag.dropped_packets
-        report.node_stats.extend(frag.node_stats)
-        report.flowlet_switches += frag.flowlet_switches
-        report.flowlet_spills += frag.flowlet_spills
-        report.fault_events += frag.fault_events
-        report.fault_flushed_packets += frag.fault_flushed_packets
-        report.events_run += frag.events_run
-        if frag.busy_seconds is not None:
-            report.partition_busy_seconds.append(frag.busy_seconds)
-        if registry is not None and frag.registry is not None:
-            registry.merge(frag.registry)
-    report.node_stats.sort(key=lambda row: row["node"])
-    report.reordered_fraction = (reordered / reorder_packets
-                                 if reorder_packets else 0.0)
-    return report
+    merged = SimulationReport()
+    for report in reports:
+        for name in _SUMMED:
+            setattr(merged, name, getattr(merged, name) + getattr(report, name))
+        merged.duration_sec = max(merged.duration_sec, report.duration_sec)
+        merged.latency_usec.extend(report.latency_usec.values)
+        merged.node_stats.extend(report.node_stats)
+    merged.node_stats.sort(key=lambda row: row["node"])
+    merged.reordered_fraction = (
+        merged.reordered_sequences / merged.delivered_packets
+        if merged.delivered_packets else 0.0)
+    return merged

@@ -35,15 +35,14 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from time import perf_counter, process_time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..core.partition import (
     OBSERVER_BARRIER,
     OBSERVER_EVENT,
     ClusterPartition,
-    PartitionFragment,
     PartitionSpec,
-    merge_fragments,
+    merge_reports,
     realize_arrivals,
     registry_config_of,
 )
@@ -52,7 +51,7 @@ from ..core.topology import balanced_partitions
 from ..errors import ConfigurationError, SimulationError
 from ..net.packet import Packet
 from ..obs.hooks import observer_interval
-from ..obs.metrics import active_registry
+from ..obs.metrics import MetricsRegistry, active_registry
 
 BACKENDS = ("inline", "process")
 
@@ -73,7 +72,7 @@ def _tick_grid(interval: float, horizon: float) -> List[float]:
 #
 # Each partition gets its own single-process pool; the partition object
 # lives in that process's module global between epoch calls.  Everything
-# crossing the boundary (spec, transit records, fragments) is picklable.
+# crossing the boundary (spec, transit records, reports) is picklable.
 
 _WORKER: Optional[ClusterPartition] = None
 
@@ -93,14 +92,14 @@ def _open_partition(spec: PartitionSpec) -> ClusterPartition:
 def _worker_init(spec: PartitionSpec):
     global _WORKER
     _WORKER = _open_partition(spec)
-    return _WORKER.peek_time(), _WORKER.lookahead_sec
+    return _WORKER.sim.peek_time(), _WORKER.lookahead_sec
 
 
 def _advance(part: ClusterPartition, until: float, records,
              keep_alive: bool, sample: bool):
     """One partition's share of an epoch: inject, run, sample.
     Returns (outbox, next event time, CPU seconds spent running)."""
-    part.set_keep_alive(keep_alive)
+    part.keep_alive = keep_alive
     if records:
         part.inject(records)
     start = process_time()
@@ -108,15 +107,22 @@ def _advance(part: ClusterPartition, until: float, records,
     busy = process_time() - start
     if sample:
         part.sample_barrier()
-    return outbox, part.peek_time(), busy
+    return outbox, part.sim.peek_time(), busy
 
 
 def _worker_advance(until: float, records, keep_alive: bool, sample: bool):
     return _advance(_WORKER, until, records, keep_alive, sample)
 
 
-def _worker_finish() -> PartitionFragment:
-    return _WORKER.finish()
+def _finish(part: ClusterPartition) \
+        -> Tuple[SimulationReport, Optional[MetricsRegistry]]:
+    """The partition's report, with its worker-local registry beside it
+    (``None`` when that registry is not observing)."""
+    return part.finish(), part.registry if part.registry.enabled else None
+
+
+def _worker_finish():
+    return _finish(_WORKER)
 
 
 class _InlineBackend:
@@ -129,15 +135,16 @@ class _InlineBackend:
         self.partitions = [_open_partition(spec) for spec in specs]
 
     def init_state(self):
-        return [(p.peek_time(), p.lookahead_sec) for p in self.partitions]
+        return [(p.sim.peek_time(), p.lookahead_sec)
+                for p in self.partitions]
 
     def advance_all(self, until, inboxes, keep_alive, sample):
         return [_advance(part, until, pickle.loads(pickle.dumps(inboxes[pid])),
                          keep_alive[pid], sample)
                 for pid, part in enumerate(self.partitions)]
 
-    def finish(self) -> List[PartitionFragment]:
-        return [part.finish() for part in self.partitions]
+    def finish(self):
+        return [_finish(part) for part in self.partitions]
 
     def close(self):
         pass
@@ -184,7 +191,7 @@ class _ProcessBackend:
         return [self._result(pid, future, during)
                 for pid, future in enumerate(futures)]
 
-    def finish(self) -> List[PartitionFragment]:
+    def finish(self):
         futures = [pool.submit(_worker_finish) for pool in self.pools]
         return [self._result(pid, future, "while finishing")
                 for pid, future in enumerate(futures)]
@@ -264,7 +271,6 @@ def simulate_parallel(router: RouteBricksRouter,
                                                           until):
         arrivals[assignment[ingress]].append(
             (time, ingress, egress, packet.to_wire()))
-    offered = sum(len(part) for part in arrivals)
     specs = [replace(
         base, partition_id=pid, arrivals=tuple(arrivals[pid]),
         observer_mode=((OBSERVER_EVENT if pid == 0 else OBSERVER_BARRIER)
@@ -388,21 +394,24 @@ def simulate_parallel(router: RouteBricksRouter,
         # pins each clock to ``until`` (undelivered records, if any, are
         # injected as future events exactly as the single sim would
         # leave them pending).  Charged as a final (non-epoch) barrier so
-        # the telemetry sums match each fragment's ``busy_seconds``.
+        # the telemetry sums match the report's ``partition_busy_seconds``.
         wall_start = perf_counter()
         results = driver.advance_all(until, inboxes, [False] * workers,
                                      False)
         charge_epoch(results, perf_counter() - wall_start, until)
-        fragments = driver.finish()
+        finished = driver.finish()
     finally:
         driver.close()
-    for frag in fragments:
-        frag.busy_seconds = busy_totals[frag.partition_id]
 
-    report = merge_fragments(
-        fragments, offered_packets=offered, duration_sec=until,
-        workers=workers, epochs=epochs,
-        registry=registry if observe else None)
+    # Partition-id order throughout, so the merge cannot depend on which
+    # worker finished first.
+    if observe:
+        for _, part_registry in finished:
+            registry.merge(part_registry)
+    report = merge_reports([part_report for part_report, _ in finished])
+    report.workers = workers
+    report.epochs = epochs
+    report.partition_busy_seconds = busy_totals
     report.barrier_wait_seconds = wait_totals
     report.lookahead_efficiency = (
         sim_covered / (epochs * window) if epochs else 0.0)

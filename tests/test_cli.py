@@ -134,8 +134,14 @@ class TestParallelCommand:
         assert single == sharded  # offered/delivered/dropped line
 
     def test_parallel_bad_topology(self, capsys):
-        assert main(["parallel", "run", "mesh9"]) == 2
-        assert "rb4/rb8/rb32" in capsys.readouterr().err
+        # One rbN parser serves every subcommand that takes a cluster.
+        for command in (["parallel", "run"], ["obs", "timeline"],
+                        ["control", "run"]):
+            for name in ("mesh9", "rb0", "rb1"):
+                assert main(command + [name]) == 2, (command, name)
+                err = capsys.readouterr().err
+                assert err.startswith("error:"), (command, name, err)
+                assert "rb4/rb8/rb32" in err
 
     def test_parallel_too_many_workers(self, capsys):
         assert main(["parallel", "run", "rb4", "--workers", "9",

@@ -15,14 +15,15 @@ import pytest
 
 from repro.core import RouteBricksRouter
 from repro.core.control import ClusterManager
-from repro.core.partition import merge_fragments
+from repro.core.partition import (ClusterPartition, PartitionSpec,
+                                  merge_reports)
 from repro.core.topology import balanced_partitions
 from repro.errors import ConfigurationError, TopologyError
 from repro.faults import FaultSchedule
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import BACKENDS, simulate_parallel
 from repro.simnet.partition import TransitRecord
-from repro.simnet.rng import RngStreams, node_seeds
+from repro.simnet.rng import node_seeds
 from repro.workloads import WorkloadSpec
 from repro.workloads.matrices import uniform_matrix
 
@@ -321,22 +322,22 @@ class TestSeedDerivation:
         # range sees the same seeds the single sim assigned.
         assert node_seeds(SEED, 8)[:4] == node_seeds(SEED, 4)
 
-    def test_spawn_is_deterministic_and_independent(self):
-        a = RngStreams(3).spawn("partition/0")
-        b = RngStreams(3).spawn("partition/0")
-        c = RngStreams(3).spawn("partition/1")
-        assert a.stream("x").random() == b.stream("x").random()
-        assert (RngStreams(3).spawn("partition/0").stream("x").random()
-                != c.stream("x").random())
-        # Spawning is not the same as streaming: the child namespace is
-        # separate from the parent's own streams.
-        assert (RngStreams(3).spawn("p").seed
-                != RngStreams(3).stream("p").randint(0, 2 ** 63))
-
 
 class TestMergeFragments:
+    """Per-partition reports (fragments of one run) fold into one."""
+
     def test_empty_merge_is_an_empty_report(self):
-        report = merge_fragments([], offered_packets=0, duration_sec=1.0,
-                                 workers=0, epochs=0)
+        report = merge_reports([])
         assert report.delivered_packets == 0
         assert report.partition_busy_seconds == []
+
+
+class TestInject:
+    def test_record_for_a_node_the_partition_does_not_own(self):
+        spec = PartitionSpec.checked(_router(), assignment=(0, 0, 1, 1))
+        part = ClusterPartition(spec)
+        record = TransitRecord(deliver_time=2e-6, send_time=0.0, src_node=1,
+                               seq=0, dst_node=3, wire=())
+        with pytest.raises(ConfigurationError,
+                           match="partition 0 has no destination for node 3"):
+            part.inject([record])

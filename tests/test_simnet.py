@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError, SimulationError
 from repro.net import Packet
 from repro.obs.metrics import Reservoir
-from repro.simnet import FiniteQueue, Link, RngStreams, Simulator
+from repro.simnet import FiniteQueue, Link, Simulator
 
 
 class TestSimulator:
@@ -281,22 +281,6 @@ class TestLink:
         link.send(Packet.udp("1.1.1.1", "2.2.2.2", length=100))  # in flight
         link.send(Packet.udp("1.1.1.1", "2.2.2.2", length=100))  # queued
         assert link.queued_bits() == 800
-
-
-class TestRng:
-    def test_deterministic_streams(self):
-        a = RngStreams(seed=1).stream("x").random()
-        b = RngStreams(seed=1).stream("x").random()
-        assert a == b
-
-    def test_independent_streams(self):
-        streams = RngStreams(seed=1)
-        assert streams.stream("x").random() != streams.stream("y").random()
-
-    def test_different_seeds_differ(self):
-        a = RngStreams(seed=1).stream("x").random()
-        b = RngStreams(seed=2).stream("x").random()
-        assert a != b
 
 
 class TestStats:
