@@ -1,21 +1,21 @@
-"""Golden event-order test across the engine refactor.
+"""Golden event-order test across the engine refactors.
 
 ``GOLDEN`` below is the (time, tag) execution order of a mixed
-schedule / schedule_at / schedule_every / cancel workload recorded on
-the pre-refactor engine (dataclass events, single heap).  The refactored
-heap+wheel engine must replay it exactly -- same times, same tie-break
-order, same number of executed events -- both when every timer goes
-through the heap (``use_timer=False``) and when the homogeneous poll
-chain rides the bucketed event wheel (``use_timer=True``).
+schedule / schedule_at / timer workload first recorded on the original
+engine (dataclass events, single heap).  The heap+wheel engine must
+replay it exactly -- same times, same tie-break order, same number of
+executed events -- both when every timer goes through the heap
+(``use_timer=False``) and when the homogeneous poll chain rides the
+bucketed event wheel (``use_timer=True``).
 
-The heartbeat interval (0.25) and poll step (0.125) are binary-exact
-floats, so the schedule_every grid fix cannot shift any time in this
-workload: any divergence here is a real ordering regression.
+The heartbeat grid (0.25) and poll step (0.125) are binary-exact
+floats, so no time in this workload depends on rounding: any
+divergence here is a real ordering regression.
 """
 
 from repro.simnet import Simulator
 
-#: Captured on the pre-refactor engine (see module docstring).
+#: Captured on the original engine (see module docstring).
 GOLDEN = [
     (0.0, "poll0"), (0.125, "poll1"), (0.25, "beat"), (0.25, "poll2"),
     (0.375, "poll3"), (0.5, "a"), (0.5, "b"), (0.5, "c"), (0.5, "beat"),
@@ -26,24 +26,35 @@ GOLDEN = [
     (1.375, "poll11"),
 ]
 
-#: Total events executed, including the cancelled heartbeat's final
-#: no-op tick at 1.25 and excluding the two cancelled one-shots.
-GOLDEN_EVENTS_RUN = 25
+#: Total events executed, including the stopped heartbeat's final no-op
+#: tick at 1.25 and the victim's no-op at 0.75.
+GOLDEN_EVENTS_RUN = 26
 
 GOLDEN_FINAL_NOW = 2.0
 
 
 def drive(sim, log, use_timer=False):
-    """The recorded workload: periodic beats, a self-rescheduling poll
-    chain, tie-breaking one-shots, pre-run and mid-run cancellations,
-    and nested scheduling from inside a callback."""
+    """The recorded workload: a self-rescheduling heartbeat on a fixed
+    grid, a self-rescheduling poll chain, tie-breaking one-shots, a
+    one-shot another callback silences, and nested scheduling from
+    inside a callback."""
     timer = (sim.schedule_timer if use_timer
              else (lambda d, cb: sim.schedule(d, cb)))
 
     def note(tag):
         log.append((sim.now, tag))
 
-    beat = sim.schedule_every(0.25, lambda: note("beat"))
+    beating = [True]
+    ticks = [0]
+
+    def beat():
+        if not beating[0]:
+            return
+        note("beat")
+        ticks[0] += 1
+        sim.schedule_at(0.25 * (ticks[0] + 1), beat)
+
+    sim.schedule_at(0.25, beat)
     n = [0]
 
     def poll():
@@ -56,13 +67,17 @@ def drive(sim, log, use_timer=False):
     sim.schedule(0.5, lambda: note("a"))
     sim.schedule(0.5, lambda: note("b"))
     sim.schedule_at(0.5, lambda: note("c"))
-    dead = sim.schedule(0.375, lambda: note("dead"))
-    dead.cancel()
-    victim = sim.schedule(0.75, lambda: note("victim"))
+    victim_alive = [True]
+
+    def victim():
+        if victim_alive[0]:
+            note("victim")
+
+    sim.schedule(0.75, victim)
 
     def killer():
         note("killer")
-        victim.cancel()
+        victim_alive[0] = False
 
     sim.schedule(0.625, killer)
 
@@ -75,10 +90,9 @@ def drive(sim, log, use_timer=False):
 
     def stop():
         note("stop-beat")
-        beat.cancel()
+        beating[0] = False
 
     sim.schedule(1.0625, stop)
-    return beat
 
 
 class TestGoldenOrder:
