@@ -4,7 +4,9 @@
 Compares fresh ``BENCH_*.json`` artifacts (written by ``python -m repro
 obs run --quick``) against the committed baseline
 ``benchmarks/results/baseline.json`` and exits non-zero when any rate
-scalar fell by more than the tolerance (default 10%).
+scalar fell by more than the tolerance (default 10%) or any count
+scalar changed at all (seeded integers such as ``run.sim_events``:
+a different value means event order drifted).
 
 Usage::
 
@@ -145,11 +147,11 @@ def main(argv=None) -> int:
     if problems:
         return 2
     if regressed:
-        print("FAIL: rate regression beyond %.0f%% tolerance"
-              % (tolerance * 100), file=sys.stderr)
+        print("FAIL: rate regression beyond %.0f%% tolerance or count "
+              "change" % (tolerance * 100), file=sys.stderr)
         return 1
-    print("OK: no rate regression beyond %.0f%% tolerance"
-          % (tolerance * 100))
+    print("OK: no rate regression beyond %.0f%% tolerance, no count "
+          "change" % (tolerance * 100))
     return 0
 
 

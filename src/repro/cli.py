@@ -674,7 +674,7 @@ def _cmd_obs(args) -> int:
     try:
         baseline_doc = compare.load_json(args.names[0])
         bench_doc = compare.load_json(args.names[1])
-        kinds = ("rate", "time") if args.times else ("rate",)
+        kinds = compare.DEFAULT_KINDS + (("time",) if args.times else ())
         deltas = compare.compare_docs(baseline_doc, bench_doc,
                                       tolerance=args.tolerance,
                                       kinds=kinds)

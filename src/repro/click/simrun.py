@@ -126,12 +126,6 @@ class TimedRunReport:
     def loss_free(self) -> bool:
         return self.dropped_packets == 0
 
-    @property
-    def loss_fraction(self) -> float:
-        if not self.offered_packets:
-            return 0.0
-        return self.dropped_packets / self.offered_packets
-
     def sustainable(self, max_backlog_packets: int) -> bool:
         """Loss-free *and* not merely buffering the excess in the rings."""
         return (self.dropped_packets == 0
@@ -295,7 +289,7 @@ class TimedForwardingRun:
         cycles_for = [self.cost_model.empty_poll_cycles] + [
             n * self.cycles_per_packet for n in range(1, self.kp + 1)]
         delay_for = [cycles / clock_hz for cycles in cycles_for]
-        file_at = sim.timer_filer()
+        file_at = sim.schedule_timer_at
         kp = self.kp
         log: List[tuple] = []
         log_append = log.append

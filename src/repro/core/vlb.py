@@ -12,9 +12,11 @@ destination's traffic directly while the direct link has headroom --
 that's why the 64 B and Abilene experiments route everything directly
 (Sec. 6.2).
 
-This module provides both the *analysis* (link loads, per-node processing
+This module provides the *analysis* (link loads, per-node processing
 rates -- the quantities the provisioning math needs) and the *policy*
-objects the DES nodes consult per flowlet.
+objects that parameterize it.  The DES does not consult these objects:
+its per-packet path choice (adaptive Direct VLB with flowlet pinning)
+is :meth:`repro.core.node.ClusterNode.choose_path`.
 """
 
 from __future__ import annotations

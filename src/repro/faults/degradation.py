@@ -54,11 +54,6 @@ class DegradationPoint(RunResult):
     def capacity_gbps(self) -> float:
         return self.capacity_bps / 1e9
 
-    @property
-    def failed_fraction(self) -> float:
-        total = self.failed_nodes + self.live_nodes
-        return self.failed_nodes / total if total else 0.0
-
 
 @dataclass(frozen=True)
 class DegradationReport(RunResult):

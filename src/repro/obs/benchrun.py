@@ -35,7 +35,7 @@ import statistics
 import sys
 import time
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from .explain import explain_from_registry
 from .metrics import MetricsRegistry, use_registry
@@ -434,16 +434,3 @@ def write_bench_json(doc: dict, out_dir: pathlib.Path) -> pathlib.Path:
     if trace_doc["traceEvents"]:
         write_trace_json(trace_doc, out_dir)
     return path
-
-
-def run_many(names: Sequence[str], seed: int = DEFAULT_SEED,
-             out_dir: Optional[pathlib.Path] = None,
-             root: Optional[pathlib.Path] = None
-             ) -> List[Tuple[dict, Optional[pathlib.Path]]]:
-    """Run several scenarios, optionally writing each BENCH file."""
-    results = []
-    for name in names:
-        doc = run_benchmark(name, seed=seed, root=root)
-        path = write_bench_json(doc, out_dir) if out_dir else None
-        results.append((doc, path))
-    return results

@@ -4,14 +4,16 @@ One code path serves ``python -m repro obs diff`` and CI's
 ``scripts/check_bench_regression.py``: load two documents (a committed
 baseline and a fresh BENCH artifact, or two BENCH artifacts), compare
 the scalar metrics they share, and classify each delta.  ``rate``
-scalars regress downward, ``time`` scalars regress upward, ``count``
-scalars never fail the gate -- they exist so drift is *visible*, not to
-make CI flaky.
+scalars regress downward, ``time`` scalars regress upward, and
+``count`` scalars regress on *any* change, including a change from a 0
+baseline: they are seeded integers (``run.sim_events``,
+``run.node_drops``), so a different value means the simulation's event
+order or behaviour drifted.
 
-By default only ``rate`` scalars gate: they derive from the analytic
-model and the seeded DES, so they are deterministic on any machine,
-while wall-clock timings on shared CI runners are not.  Pass
-``kinds=("rate", "time")`` for a local, quiet-machine check.
+By default ``rate`` and ``count`` scalars gate: they derive from the
+analytic model and the seeded DES, so they are deterministic on any
+machine, while wall-clock timings on shared CI runners are not.  Add
+``"time"`` to ``kinds`` for a local, quiet-machine check.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .schema import (
 DEFAULT_TOLERANCE = 0.10
 
 #: Scalar kinds that gate by default (see module docstring).
-DEFAULT_KINDS = ("rate",)
+DEFAULT_KINDS = ("rate", "count")
 
 
 @dataclass(frozen=True)
@@ -55,14 +57,21 @@ class Delta:
             return "%-10s %s/%s: %s (baseline %s, current %s)" % (
                 self.status, self.benchmark, self.metric,
                 self.kind, self.baseline, self.current)
-        return "%-10s %s/%s: %.6g -> %.6g (%+.1f%%, %s)" % (
+        # Counts gate exactly, so print them exactly.
+        value = "%.0f" if self.kind == "count" else "%.6g"
+        return "%-10s %s/%s: %s -> %s (%+.1f%%, %s)" % (
             self.status, self.benchmark, self.metric,
-            self.baseline, self.current, self.change * 100, self.kind)
+            value % self.baseline, value % self.current,
+            self.change * 100, self.kind)
 
 
 def classify(kind: str, baseline: float, current: float,
              tolerance: float) -> Tuple[Optional[float], str]:
     """Fractional change and verdict for one scalar pair."""
+    if kind == "count" and current != baseline:
+        # Seeded integers gate exactly; ``tolerance`` does not apply.
+        change = (current - baseline) / abs(baseline) if baseline else None
+        return change, "regressed"
     if baseline == 0:
         if current == 0:
             return 0.0, "ok"

@@ -28,7 +28,8 @@ TRACE_SCHEMA = "repro.trace-timeline/1"
 #: Scalar kinds the regression checker knows how to compare.
 #: ``rate``  -- higher is better (Gbps, Mpps, ...)
 #: ``time``  -- lower is better (wall-clock seconds)
-#: ``count`` -- informational; compared for drift, never failed on
+#: ``count`` -- seeded integers (executed events, drops); any change
+#:              fails, since it means event order drifted
 #: ``perf``  -- wall-clock engine speed; reported, never gated (CI
 #:              machines vary too much for a hard threshold)
 SCALAR_KINDS = ("rate", "time", "count", "perf")

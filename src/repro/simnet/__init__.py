@@ -8,14 +8,13 @@ record a sharded run exchanges packets through (the shard itself is
 :mod:`repro.obs.metrics`.
 """
 
-from .engine import Event, Simulator
+from .engine import Simulator
 from .links import Link
 from .partition import CrossLink, TransitRecord
 from .queues import FiniteQueue
 from .rng import node_seeds
 
 __all__ = [
-    "Event",
     "Simulator",
     "Link",
     "CrossLink",

@@ -42,6 +42,9 @@ class Link:
         self.stalled = False
         self.bytes_sent = 0
         self.packets_sent = 0
+        #: Bytes waiting in ``queue`` (kept beside it so path choice
+        #: reads the backlog in O(1)).
+        self._queued_bytes = 0
 
     def serialization_time(self, packet: Packet) -> float:
         """Seconds to clock ``packet`` onto the wire."""
@@ -51,6 +54,7 @@ class Link:
         """Offer a packet to the link; False if the queue overflowed."""
         if not self.queue.offer(packet):
             return False
+        self._queued_bytes += packet.length
         if not self.busy:
             self._start_next()
         return True
@@ -65,6 +69,7 @@ class Link:
         if packet is None:
             self.busy = False
             return
+        self._queued_bytes -= packet.length
         self.busy = True
         tx_time = self.serialization_time(packet)
         self.bytes_sent += packet.length
@@ -113,6 +118,7 @@ class Link:
         while True:
             packet = self.queue.poll()
             if packet is None:
+                self._queued_bytes = 0
                 return dropped
             dropped += 1
 
@@ -125,4 +131,4 @@ class Link:
     def queued_bits(self) -> int:
         """Bits currently waiting (used by the flowlet spreader's local
         load estimate)."""
-        return sum(p.length * 8 for p in self.queue._items)
+        return self._queued_bytes * 8

@@ -27,9 +27,6 @@ class FiniteQueue(Generic[T]):
     def __len__(self) -> int:
         return len(self._items)
 
-    def is_empty(self) -> bool:
-        return not self._items
-
     def is_full(self) -> bool:
         return len(self._items) >= self.capacity
 

@@ -61,11 +61,6 @@ def to_usec(seconds: float) -> float:
     return seconds * 1e6
 
 
-def msec(value: float) -> float:
-    """Convert milliseconds to seconds."""
-    return value * 1e-3
-
-
 def packets_to_bits(num_packets: float, packet_bytes: float) -> float:
     """Total bits carried by ``num_packets`` packets of ``packet_bytes``."""
     return num_packets * packet_bytes * BITS_PER_BYTE

@@ -17,7 +17,6 @@ The old positional signatures keep working through deprecation shims.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple, Union
 
@@ -120,15 +119,6 @@ class WorkloadSpec:
                             matrix=matrix,
                             flows_per_pair=self.flows_per_pair,
                             seed=self.seed)
-
-    def size_sampler(self, rng: random.Random):
-        """A zero-argument callable drawing frame sizes from the mix."""
-        sizes = [size for size, _ in self.mix]
-        weights = [weight for _, weight in self.mix]
-        if len(sizes) == 1:
-            only = sizes[0]
-            return lambda: only
-        return lambda: rng.choices(sizes, weights=weights)[0]
 
     def events(self, duration_sec: float) \
             -> Iterator[Tuple[float, int, int, Packet]]:

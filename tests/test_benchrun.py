@@ -114,6 +114,18 @@ class TestCompare:
         deltas = compare.compare_docs(baseline, degraded)
         assert any(d.regressed for d in deltas)
 
+    def test_counts_gate_exactly(self):
+        """Seeded counts regress on any change, whatever the tolerance,
+        including a change from a 0 baseline."""
+        assert compare.classify("count", 100.0, 100.0, 0.10)[1] == "ok"
+        assert compare.classify("count", 100.0, 101.0, 0.10)[1] == \
+            "regressed"
+        assert compare.classify("count", 100.0, 99.0, 0.10)[1] == \
+            "regressed"
+        assert compare.classify("count", 0.0, 0.0, 0.10)[1] == "ok"
+        assert compare.classify("count", 0.0, 3.0, 0.10) == \
+            (None, "regressed")
+
     def test_missing_benchmark_raises(self, bench_doc):
         baseline = make_baseline([bench_doc], created_unix=0.0)
         other = copy.deepcopy(bench_doc)
@@ -225,6 +237,26 @@ class TestRegressionScript:
         proc = self._run("--baseline", str(baseline),
                          "--results-dir", str(tmp_path))
         assert proc.returncode == 1, proc.stdout + proc.stderr
+
+    def test_perturbed_sim_events_fails(self, bench_doc, tmp_path):
+        """One executed event more than the baseline's is event-order
+        drift: exit 1, although it is far inside the rate tolerance."""
+        counted = copy.deepcopy(bench_doc)
+        counted["scalars"]["run.sim_events"] = {"value": 1129694.0,
+                                                "kind": "count"}
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(
+            make_baseline([counted], created_unix=0.0)))
+        write_bench_json(counted, tmp_path)
+        proc = self._run("--baseline", str(baseline),
+                         "--results-dir", str(tmp_path))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        counted["scalars"]["run.sim_events"]["value"] += 1
+        write_bench_json(counted, tmp_path)
+        proc = self._run("--baseline", str(baseline),
+                         "--results-dir", str(tmp_path))
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "run.sim_events" in proc.stdout
 
     def test_unknown_scalar_keys_warn_without_failing(self, bench_doc,
                                                       tmp_path):

@@ -116,16 +116,6 @@ class TestGoldenOrder:
         # The poll chain really went through the wheel, not the heap.
         assert sim._quantum == 0.125
 
-    def test_step_by_step_matches_run(self):
-        """step() must produce the same order as the batch run loops."""
-        sim = Simulator()
-        log = []
-        drive(sim, log, use_timer=True)
-        while sim.peek_time() is not None and sim.peek_time() <= 2.0:
-            assert sim.step()
-        assert log == GOLDEN
-        assert sim.events_run == GOLDEN_EVENTS_RUN
-
     def test_epoch_sliced_run_matches_batch(self):
         """Repeated run(until=slice) calls -- the parallel runner's epoch
         protocol -- must replay the golden order exactly, including when

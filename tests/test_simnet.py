@@ -1,6 +1,9 @@
 """Tests for the discrete-event simulation engine."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.net import Packet
@@ -50,13 +53,17 @@ class TestSimulator:
         sim.run()
         assert fired == [1, 5]
 
-    def test_cancellation(self):
+    def test_run_until_advances_clock_past_drained_queue(self):
+        """The run() contract: ``until`` lands the clock on the horizon
+        even when the queue drains first."""
         sim = Simulator()
         fired = []
-        event = sim.schedule(1.0, lambda: fired.append(1))
-        event.cancel()
-        sim.run()
-        assert fired == []
+        for i in range(2):
+            sim.schedule(i + 1.0, lambda i=i: fired.append(i))
+        sim.run(until=10.0)
+        assert fired == [0, 1]
+        assert sim.now == 10.0
+        assert sim.peek_time() is None
 
     def test_cannot_schedule_in_past(self):
         sim = Simulator()
@@ -67,94 +74,12 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.schedule(-1.0, lambda: None)
 
-    def test_max_events(self):
-        sim = Simulator()
-        count = []
-        for i in range(10):
-            sim.schedule(i + 1.0, lambda: count.append(1))
-        sim.run(max_events=3)
-        assert len(count) == 3
-
-    def test_max_events_still_advances_clock_to_until(self):
-        """The run() contract: ``until`` lands the clock on the horizon
-        even when the event budget stops execution first."""
-        sim = Simulator()
-        fired = []
-        for i in range(5):
-            sim.schedule(i + 1.0, lambda i=i: fired.append(i))
-        sim.run(until=10.0, max_events=2)
-        assert fired == [0, 1]
-        assert sim.now == 10.0
-
-    def test_schedule_every_stays_on_grid(self):
-        """Tick 10^6 of a 0.1 s heartbeat must land exactly on
-        ``start + 10^6 * interval``; rescheduling by repeatedly adding
-        the interval to the clock drifts off the grid long before
-        that."""
-        sim = Simulator()
-        interval = 0.1  # not binary-exact: repeated addition drifts
-        target = 10 ** 6 + 1  # callback k (0-based grid index k-1)
-        ticks = [0]
-        landed = {}
-
-        def tick():
-            ticks[0] += 1
-            if ticks[0] == target:
-                landed["now"] = sim.now
-
-        sim.schedule_every(interval, tick)
-        sim.run(max_events=target)
-        start = interval  # first tick: now (0.0) + default start delay
-        assert landed["now"] == start + 10 ** 6 * interval
-
     def test_events_run_counts_executions(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.schedule_timer(3.0, lambda: None)
         sim.run()
         assert sim.events_run == 2
-
-    def test_wall_clock_accumulates(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        assert sim.wall_clock_s == 0.0
-        sim.run()
-        assert sim.wall_clock_s > 0.0
-
-    def test_cancelled_events_are_compacted(self):
-        sim = Simulator()
-        events = [sim.schedule(1.0 + i * 1e-6, lambda: None)
-                  for i in range(1000)]
-        for event in events[100:]:
-            event.cancel()
-        # Lazy deletion must not leave 900 dead entries in the heap.
-        assert len(sim._heap) < 300
-        sim.run()
-        assert sim.events_run == 100
-
-    def test_cancel_is_idempotent_and_noop_after_execution(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert event.cancelled
-        ran = sim.schedule(2.0, lambda: None)
-        sim.run()
-        ran.cancel()  # already executed: not a cancellation
-        assert not ran.cancelled
-        # The swept cancellation was un-counted; the late cancel never
-        # counted at all, so the dead tally is back to zero.
-        assert sim._dead == 0
-
-    def test_event_handle_exposes_time_seq_callback(self):
-        sim = Simulator()
-        first = sim.schedule(1.0, lambda: None)
-        second = sim.schedule(1.0, lambda: None)
-        assert first.time == second.time == 1.0
-        assert first.seq < second.seq
-        assert first.callback is not None
-        first.cancel()
-        assert first.callback is None
 
     def test_schedule_timer_interleaves_with_heap_events(self):
         sim = Simulator()
@@ -185,6 +110,105 @@ class TestSimulator:
         sim.run()
         assert sim.peek_time() is None
 
+
+class _ReferenceQueue:
+    """The ordering contract with no engine in it: pending events kept
+    in a plain list and run in ``sorted((time, insertion_index))``
+    order, re-sorted after every callback."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._pending = []
+        self._inserted = 0
+
+    def add(self, time, callback):
+        self._pending.append((time, self._inserted, callback))
+        self._inserted += 1
+
+    def run(self):
+        while self._pending:
+            self._pending = sorted(self._pending, key=lambda e: e[:2])
+            time, _, callback = self._pending.pop(0)
+            self.now = time
+            callback()
+
+
+_KINDS = ("schedule", "schedule_at", "schedule_timer", "schedule_timer_at",
+          "preschedule_timers")
+#: Binary-exact grid offsets make ties common; 0.1 and 0.3 are not on the
+#: grid, and 0.0 exercises the heap fallback before the wheel's quantum
+#: is known.
+_OFFSETS = st.lists(st.sampled_from([0.0, 0.0625, 0.125, 0.25, 0.1, 0.3,
+                                     1.0]), min_size=1, max_size=3)
+_CALL = st.tuples(st.sampled_from(_KINDS), _OFFSETS)
+_PROGRAM = st.lists(st.tuples(_CALL, st.lists(_CALL, max_size=3)),
+                    min_size=1, max_size=12)
+
+
+def _file(sim, kind, offsets, make_callback):
+    """Make one scheduling call of ``kind`` on ``sim`` (engine or
+    reference); ``make_callback(i)`` builds the callback for the
+    ``i``-th time the call files."""
+    now = sim.now
+    if kind == "preschedule_timers":
+        times = sorted(now + offset for offset in offsets)
+    else:
+        times = [now + offsets[0]]
+    callbacks = [make_callback(i) for i in range(len(times))]
+    if isinstance(sim, _ReferenceQueue):
+        for time, callback in zip(times, callbacks):
+            sim.add(time, callback)
+    elif kind == "preschedule_timers":
+        # The engine files one shared callback; its k-th run is the k-th
+        # filed time (ascending times, ascending seq).
+        runs = itertools.count()
+        sim.preschedule_timers(times, lambda: callbacks[next(runs)]())
+    elif kind in ("schedule", "schedule_timer"):
+        getattr(sim, kind)(offsets[0], callbacks[0])
+    else:
+        getattr(sim, kind)(times[0], callbacks[0])
+
+
+def _execute(sim, program, log):
+    for top, ((kind, offsets), children) in enumerate(program):
+        def make_parent(i, top=top, children=children):
+            def parent():
+                log.append((sim.now, (top, i)))
+                for child, (child_kind, child_offsets) in enumerate(children):
+                    _file(sim, child_kind, child_offsets,
+                          lambda j, child=child: (
+                              lambda: log.append((sim.now, (top, i, child, j)))))
+            return parent
+        _file(sim, kind, offsets, make_parent)
+
+
+class TestDifferentialOrder:
+    """The heap+wheel engine against the sorted-list reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(program=_PROGRAM,
+           epoch=st.sampled_from([None, 0.05, 0.0625, 0.125, 0.3, 1.0]))
+    def test_order_matches_sorted_reference(self, program, epoch):
+        reference = _ReferenceQueue()
+        expected = []
+        _execute(reference, program, expected)
+        reference.run()
+
+        sim = Simulator()
+        got = []
+        _execute(sim, program, got)
+        horizon = 2.5  # past every filed time (1.0 + 1.0 at most)
+        if epoch is None:
+            sim.run(until=horizon)
+        else:
+            t = 0.0
+            while t < horizon:
+                t = min(t + epoch, horizon)
+                sim.run(until=t)
+        assert got == expected
+        assert sim.events_run == len(expected)
+        assert sim.peek_time() is None
+        assert sim.now == horizon
 
 class TestFiniteQueue:
     def test_fifo_order(self):
@@ -279,6 +303,13 @@ class TestLink:
         link.send(Packet.udp("1.1.1.1", "2.2.2.2", length=100))  # in flight
         link.send(Packet.udp("1.1.1.1", "2.2.2.2", length=100))  # queued
         assert link.queued_bits() == 800
+        link.send(Packet.udp("1.1.1.1", "2.2.2.2", length=60))  # queued
+        assert link.queued_bits() == 1280
+        assert link.flush() == 2
+        assert link.queued_bits() == 0
+        link.send(Packet.udp("1.1.1.1", "2.2.2.2", length=100))  # queued
+        sim.run()
+        assert link.queued_bits() == 0
 
 
 class TestStats:
